@@ -70,13 +70,14 @@ if [[ "${1:-}" != "-short" ]]; then
     # metrics), the adaptive planner (lock-free coefficient EMA,
     # pin state, concurrent Auto routing — including the parity suite
     # in ./internal/core), the sharded-serving tier (scatter-gather
-    # fan-out, hedging, health mark-down, shard partitioning), and the
+    # fan-out, hedging, health mark-down, shard partitioning), the
     # incremental-maintenance engine (randomized update-stream
-    # equivalence against a from-scratch oracle), and the analysis
+    # equivalence against a from-scratch oracle), the R-tree (its STR
+    # bulk load tiles slabs concurrently), and the analysis
     # engine itself (the whole-module driver type-checks packages that
     # the analyzers then walk; the suite's own fixtures run under it).
     echo "== go test -race (concurrency surfaces) =="
-    go test -race . ./internal/pool ./internal/server ./internal/metrics ./internal/core ./internal/planner ./internal/router ./internal/shard ./internal/incr ./internal/lint/... ./internal/flatbuf
+    go test -race . ./internal/pool ./internal/server ./internal/metrics ./internal/core ./internal/planner ./internal/router ./internal/shard ./internal/incr ./internal/rtree ./internal/lint/... ./internal/flatbuf
 
     # The trace hook sits on every query's hot path; run the overhead
     # benchmark under the race detector so the instrumentation itself is

@@ -134,6 +134,33 @@ func TestFormatCompatGolden(t *testing.T) {
 	}
 }
 
+// TestBuildEqualsGoldenV2 pins build determinism against the committed
+// fixtures: building each fixture method on the fixture network and
+// saving it must reproduce its v2 golden file byte for byte. Fixture
+// loading alone would not notice a builder whose output drifted but
+// still decoded.
+func TestBuildEqualsGoldenV2(t *testing.T) {
+	net := fuzzNet()
+	for _, fm := range fixtureMethods {
+		idx, err := net.Build(fm.m, fixtureOptions()...)
+		if err != nil {
+			t.Fatalf("%s: %v", fm.slug, err)
+		}
+		var got bytes.Buffer
+		if err := idx.Save(&got); err != nil {
+			t.Fatalf("%s: %v", fm.slug, err)
+		}
+		want, err := os.ReadFile(fixturePath(fm.slug, "v2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: built index saves %d bytes differing from the %d-byte golden fixture",
+				fm.slug, got.Len(), len(want))
+		}
+	}
+}
+
 // TestSaveLoadV2ByteIdentical pins the no-stale-re-encode property:
 // saving an index loaded (or mapped) from a v2 file reproduces the
 // file byte for byte. Save re-emits the index's own columns — which

@@ -86,7 +86,7 @@ func buildPointIndex3(pts []point3, backend SpatialBackend, fanout int, p *pool.
 	}
 }
 
-type rtreeIndex struct{ t rtree.Searcher[geom.Box3] }
+type rtreeIndex struct{ t *rtree.Tree[geom.Box3] }
 
 func (r rtreeIndex) AnyInBox(q geom.Box3, sp *trace.Span) bool {
 	_, ok := r.t.SearchAnyTraced(q, sp)

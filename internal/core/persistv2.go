@@ -147,9 +147,9 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 	switch eng := e.(type) {
 	case *ThreeDReach:
 		flags := uint16(0)
-		var f *rtree.Flat[geom.Box3]
+		var f *rtree.Tree[geom.Box3]
 		if eng.boxes != nil {
-			f = flattenTree(eng.boxes)
+			f = eng.boxes
 			flags |= threeDFlagBoxes | threeDFlagSpatial
 			if eng.exactBoxes {
 				flags |= threeDFlagExact
@@ -158,10 +158,8 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 			// Only the R-tree point backend persists; the k-d tree and
 			// grid rebuild from the network at load (cheap, and keeps
 			// the format free of backend-specific encodings).
-			f = flattenTree(ri.t)
-			if f != nil {
-				flags |= threeDFlagSpatial
-			}
+			f = ri.t
+			flags |= threeDFlagSpatial
 		}
 		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReach), Policy: uint8(eng.policy), Flags: flags})
 		mustWrite(&man, labelingMetaOf(eng.l))
@@ -178,18 +176,14 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 			}
 		}
 	case *ThreeDReachRev:
-		f := flattenTree(eng.tree)
-		if f == nil {
-			return fmt.Errorf("%w: 3DReach-Rev spatial index %T", ErrNotPersistable, eng.tree)
-		}
 		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReachRev), Policy: uint8(eng.policy)})
 		mustWrite(&man, labelingMetaOf(eng.rev))
-		mustWrite(&man, treeMetaOf(f))
+		mustWrite(&man, treeMetaOf(eng.tree))
 		fw.Append(owner, secManifest, man.Bytes())
 		if err := appendLabelingSections(fw, owner, eng.rev); err != nil {
 			return err
 		}
-		if err := appendTreeSections(fw, owner, f); err != nil {
+		if err := appendTreeSections(fw, owner, eng.tree); err != nil {
 			return err
 		}
 	case *SocReach:
@@ -225,15 +219,11 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 			}
 		}
 	case *SpaReach:
-		f := flattenTree(eng.tree)
-		if f == nil {
-			return fmt.Errorf("%w: SpaReach spatial index %T", ErrNotPersistable, eng.tree)
-		}
 		switch reach := eng.reach.(type) {
 		case *labeling.Labeling:
 			mustWrite(&man, manifestHeader{Method: uint8(MethodSpaReachINT), Policy: uint8(eng.policy)})
 			mustWrite(&man, labelingMetaOf(reach))
-			mustWrite(&man, treeMetaOf(f))
+			mustWrite(&man, treeMetaOf(eng.tree))
 			fw.Append(owner, secManifest, man.Bytes())
 			if err := appendLabelingSections(fw, owner, reach); err != nil {
 				return err
@@ -242,7 +232,7 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 			words, hash, out, in, discover, finish := reach.Flat()
 			mustWrite(&man, manifestHeader{Method: uint8(MethodSpaReachBFL), Policy: uint8(eng.policy)})
 			mustWrite(&man, bflMeta{N: uint32(len(hash)), Words: uint32(words)})
-			mustWrite(&man, treeMetaOf(f))
+			mustWrite(&man, treeMetaOf(eng.tree))
 			fw.Append(owner, secManifest, man.Bytes())
 			for _, s := range []error{
 				flatbuf.AppendSlice(fw, owner, secBFLHash, hash),
@@ -258,7 +248,7 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 		default:
 			return fmt.Errorf("%w: SpaReach backend %T", ErrNotPersistable, reach)
 		}
-		if err := appendTreeSections(fw, owner, f); err != nil {
+		if err := appendTreeSections(fw, owner, eng.tree); err != nil {
 			return err
 		}
 	default:
@@ -290,7 +280,7 @@ func appendLabelingSections(fw *flatbuf.Writer, owner uint32, l *labeling.Labeli
 	return nil
 }
 
-func treeMetaOf[B rtree.FlatBound[B]](f *rtree.Flat[B]) treeMeta {
+func treeMetaOf[B rtree.Bound[B]](f *rtree.Tree[B]) treeMeta {
 	var zero B
 	m := f.Meta()
 	return treeMeta{
@@ -303,7 +293,7 @@ func treeMetaOf[B rtree.FlatBound[B]](f *rtree.Flat[B]) treeMeta {
 	}
 }
 
-func appendTreeSections[B rtree.FlatBound[B]](fw *flatbuf.Writer, owner uint32, f *rtree.Flat[B]) error {
+func appendTreeSections[B rtree.Bound[B]](fw *flatbuf.Writer, owner uint32, f *rtree.Tree[B]) error {
 	nodeBounds, nodeMeta, entryBounds, entryIDs := f.Raw()
 	for _, err := range []error{
 		flatbuf.AppendSlice(fw, owner, secTreeNodeBounds, nodeBounds),
@@ -314,20 +304,6 @@ func appendTreeSections[B rtree.FlatBound[B]](fw *flatbuf.Writer, owner uint32, 
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// flattenTree canonicalizes a Searcher for persistence: pointer trees
-// flatten (deterministic BFS), already-flat trees pass through — which
-// is what makes saving a mapped index re-emit the mapped bytes rather
-// than a stale re-encode. Unknown implementations yield nil.
-func flattenTree[B rtree.FlatBound[B]](s rtree.Searcher[B]) *rtree.Flat[B] {
-	switch t := s.(type) {
-	case *rtree.Tree[B]:
-		return rtree.Flatten(t)
-	case *rtree.Flat[B]:
-		return t
 	}
 	return nil
 }
@@ -432,7 +408,7 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		if policy == dataset.MBR {
 			limit = prep.NumComponents()
 		}
-		f, err := loadFlatTreeV2[geom.Box3](img, owner, mr, 3, limit)
+		f, err := loadFlatTreeV2[geom.Box3](img, owner, mr, limit)
 		if err != nil {
 			return nil, err
 		}
@@ -455,7 +431,7 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		if policy == dataset.MBR {
 			limit = prep.NumComponents()
 		}
-		f, err := loadFlatTreeV2[geom.Box3](img, owner, mr, 3, limit)
+		f, err := loadFlatTreeV2[geom.Box3](img, owner, mr, limit)
 		if err != nil {
 			return nil, err
 		}
@@ -611,20 +587,23 @@ func loadLabelingV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, prep *da
 	return l, nil
 }
 
-// loadFlatTreeV2 reads a treeMeta record, overlays the tree columns and
-// range-checks every entry id against limit — ids index SpatialMembers
-// and the network's vertex tables, so an out-of-range id in a corrupt
-// file would otherwise become a query-time panic.
-func loadFlatTreeV2[B rtree.FlatBound[B]](img *flatbuf.Image, owner uint32, mr *bytes.Reader, wantDims, limit int) (*rtree.Flat[B], error) {
+// loadFlatTreeV2 reads a treeMeta record, overlays the tree columns —
+// the bound sections cast straight to []B, whose in-memory layout is
+// the on-disk coordinate order — and range-checks every entry id
+// against limit: ids index SpatialMembers and the network's vertex
+// tables, so an out-of-range id in a corrupt file would otherwise
+// become a query-time panic.
+func loadFlatTreeV2[B rtree.Bound[B]](img *flatbuf.Image, owner uint32, mr *bytes.Reader, limit int) (*rtree.Tree[B], error) {
 	var tm treeMeta
 	if err := readManifest(mr, owner, &tm); err != nil {
 		return nil, err
 	}
-	if int(tm.Dims) != wantDims {
+	var zero B
+	if wantDims := zero.Dims(); int(tm.Dims) != wantDims {
 		return nil, fmt.Errorf("core: %w: tree of owner %d has %d dims, want %d",
 			flatbuf.ErrFormat, owner, tm.Dims, wantDims)
 	}
-	nodeBounds, err := castSection[float64](img, owner, secTreeNodeBounds)
+	nodeBounds, err := castSection[B](img, owner, secTreeNodeBounds)
 	if err != nil {
 		return nil, err
 	}
@@ -632,7 +611,7 @@ func loadFlatTreeV2[B rtree.FlatBound[B]](img *flatbuf.Image, owner uint32, mr *
 	if err != nil {
 		return nil, err
 	}
-	entryBounds, err := castSection[float64](img, owner, secTreeEntryBound)
+	entryBounds, err := castSection[B](img, owner, secTreeEntryBound)
 	if err != nil {
 		return nil, err
 	}
@@ -664,12 +643,12 @@ func loadFlatTreeV2[B rtree.FlatBound[B]](img *flatbuf.Image, owner uint32, mr *
 
 // loadSpaTreeV2 loads SpaReach's 2D tree; entry ids are vertices under
 // Replicate, components under MBR.
-func loadSpaTreeV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, policy dataset.SCCPolicy, prep *dataset.Prepared) (*rtree.Flat[geom.Rect], error) {
+func loadSpaTreeV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, policy dataset.SCCPolicy, prep *dataset.Prepared) (*rtree.Tree[geom.Rect], error) {
 	limit := prep.Net.NumVertices()
 	if policy == dataset.MBR {
 		limit = prep.NumComponents()
 	}
-	return loadFlatTreeV2[geom.Rect](img, owner, mr, 2, limit)
+	return loadFlatTreeV2[geom.Rect](img, owner, mr, limit)
 }
 
 // loadAutoV2 assembles the composite: the root manifest carries the

@@ -26,7 +26,7 @@ type SpaReach struct {
 	prep      *dataset.Prepared
 	policy    dataset.SCCPolicy
 	reach     reachIndex
-	tree      rtree.Searcher[geom.Rect]
+	tree      *rtree.Tree[geom.Rect]
 	streaming bool
 
 	// scratch pools the materialized candidate sets so concurrent
@@ -149,7 +149,7 @@ func newSpaReach(name string, prep *dataset.Prepared, reach reachIndex, opts Spa
 	return newSpaReachWithTree(name, prep, reach, tree, opts)
 }
 
-func newSpaReachWithTree(name string, prep *dataset.Prepared, reach reachIndex, tree rtree.Searcher[geom.Rect], opts SpaReachOptions) *SpaReach {
+func newSpaReachWithTree(name string, prep *dataset.Prepared, reach reachIndex, tree *rtree.Tree[geom.Rect], opts SpaReachOptions) *SpaReach {
 	e := &SpaReach{
 		name: name, prep: prep, policy: opts.Policy,
 		reach: reach, streaming: opts.Streaming, tree: tree,

@@ -28,7 +28,7 @@ type ThreeDReach struct {
 	// the Replicate policy of networks with extended geometries (paper
 	// footnote 1) through the R-tree, the only backend indexing boxes.
 	points pointIndex3
-	boxes  rtree.Searcher[geom.Box3]
+	boxes  *rtree.Tree[geom.Box3]
 	// exactBoxes marks the boxes tree as holding exact per-vertex
 	// geometries: a hit is a witness, no member verification needed.
 	exactBoxes bool

@@ -21,7 +21,7 @@ type ThreeDReachRev struct {
 	prep   *dataset.Prepared
 	policy dataset.SCCPolicy
 	rev    *labeling.Labeling // labeling of the reversed condensed DAG
-	tree   rtree.Searcher[geom.Box3]
+	tree   *rtree.Tree[geom.Box3]
 }
 
 // NewThreeDReachRev builds the line-based 3DReach-Rev engine.

@@ -7,9 +7,6 @@ func TestBoundInterfaceMethods(t *testing.T) {
 	if r.Dims() != 2 {
 		t.Error("Rect.Dims != 2")
 	}
-	if r.Measure() != r.Area() {
-		t.Error("Rect.Measure != Area")
-	}
 	if !r.Contains(NewRect(1, 1, 2, 2)) || r.Contains(NewRect(3, 1, 5, 2)) {
 		t.Error("Rect.Contains wrong")
 	}
@@ -20,9 +17,6 @@ func TestBoundInterfaceMethods(t *testing.T) {
 	b := NewBox3(0, 0, 0, 4, 2, 6)
 	if b.Dims() != 3 {
 		t.Error("Box3.Dims != 3")
-	}
-	if b.Measure() != b.Volume() {
-		t.Error("Box3.Measure != Volume")
 	}
 	if !b.Contains(NewBox3(1, 1, 1, 2, 2, 2)) || b.Contains(NewBox3(1, 1, 5, 2, 2, 7)) {
 		t.Error("Box3.Contains wrong")

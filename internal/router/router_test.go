@@ -140,8 +140,14 @@ var wholeSpace = [4]float64{0, 0, 10, 10}
 func TestQueryFirstPositiveCancelsRemaining(t *testing.T) {
 	m := testMap(wholeSpace, wholeSpace)
 	rt, install := testCluster(t, m, Config{})
-	canceled := make(chan struct{})
-	install(0, answer(true))
+	started, canceled := make(chan struct{}), make(chan struct{})
+	// Shard 0 answers only once shard 1's request is in flight: the
+	// router may legally exit early before a slower shard's request has
+	// even reached its handler, and then there is nothing to cancel.
+	install(0, func(w http.ResponseWriter, r *http.Request) {
+		<-started
+		answer(true)(w, r)
+	})
 	install(1, func(w http.ResponseWriter, r *http.Request) {
 		// Drain the body first: net/http only watches for client
 		// disconnect (and cancels r.Context) once the request body is
@@ -150,6 +156,7 @@ func TestQueryFirstPositiveCancelsRemaining(t *testing.T) {
 		// never observes the cancel would hang the full 2s shard
 		// timeout and fail the deadline below.
 		_, _ = io.Copy(io.Discard, r.Body)
+		close(started)
 		<-r.Context().Done()
 		close(canceled)
 	})

@@ -2,100 +2,78 @@ package rtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/trace"
 )
 
-// Both implementations must keep satisfying the shared query interface
-// the engines are typed against.
-var (
-	_ Searcher[geom.Rect] = (*Tree[geom.Rect])(nil)
-	_ Searcher[geom.Rect] = (*Flat[geom.Rect])(nil)
-	_ Searcher[geom.Box3] = (*Tree[geom.Box3])(nil)
-	_ Searcher[geom.Box3] = (*Flat[geom.Box3])(nil)
-)
-
-func flatSearch(f *Flat[geom.Rect], q geom.Rect) []int32 {
-	var ids []int32
-	f.Search(q, func(e Entry[geom.Rect]) bool {
-		ids = append(ids, e.ID)
-		return true
-	})
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+// rebuild round-trips tr through its persisted form: Raw/Meta → NewFlat.
+func rebuild[B Bound[B]](t *testing.T, tr *Tree[B]) *Tree[B] {
+	t.Helper()
+	nb, nm, eb, ids := tr.Raw()
+	f, err := NewFlat[B](tr.Meta(), nb, nm, eb, ids)
+	if err != nil {
+		t.Fatalf("NewFlat: %v", err)
+	}
+	return f
 }
 
-// TestFlattenRoundTrip checks Flatten → Raw/Meta → NewFlat → queries:
-// the rebuilt flat tree must answer every operation exactly like the
-// pointer tree it came from, including the trace counters — the flat
-// traversal must visit the same nodes in the same order.
-func TestFlattenRoundTrip(t *testing.T) {
+// TestNewFlatRoundTrip checks Raw/Meta → NewFlat → queries: the tree
+// reassembled from its flat arrays must answer every operation exactly
+// like the bulk-loaded tree and the brute-force oracle, including the
+// trace counters.
+func TestNewFlatRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 5, 16, 17, 100, 1000} {
 		entries := randomRectEntries(rng, n)
 		tree := BulkLoad(append([]Entry[geom.Rect](nil), entries...), 16)
-		flat := Flatten(tree)
-		if flat == nil {
-			t.Fatalf("n=%d: Flatten returned nil", n)
+		f := rebuild(t, tree)
+		if f.Len() != tree.Len() || f.Height() != tree.Height() {
+			t.Fatalf("n=%d: len/height %d/%d, want %d/%d", n, f.Len(), f.Height(), tree.Len(), tree.Height())
 		}
-		nb, nm, eb, ids := flat.Raw()
-		rebuilt, err := NewFlat[geom.Rect](flat.Meta(), nb, nm, eb, ids)
-		if err != nil {
-			t.Fatalf("n=%d: NewFlat: %v", n, err)
+		if err := f.Validate(); err != nil {
+			t.Fatalf("n=%d: Validate: %v", n, err)
 		}
-		for _, f := range []*Flat[geom.Rect]{flat, rebuilt} {
-			if f.Len() != tree.Len() || f.Height() != tree.Height() {
-				t.Fatalf("n=%d: len/height %d/%d, want %d/%d", n, f.Len(), f.Height(), tree.Len(), tree.Height())
+		fb, fok := f.Bounds()
+		tb, tok := tree.Bounds()
+		if fok != tok || (fok && fb != tb) {
+			t.Fatalf("n=%d: Bounds %v/%v, want %v/%v", n, fb, fok, tb, tok)
+		}
+		var all []int32
+		f.All(func(e Entry[geom.Rect]) bool { all = append(all, e.ID); return true })
+		if len(all) != n {
+			t.Fatalf("n=%d: All visited %d entries", n, len(all))
+		}
+		for q := 0; q < 50; q++ {
+			query := randomRect(rng)
+			want := bruteSearch(entries, query)
+			if got := treeSearch(f, query); !equalIDs(got, want) {
+				t.Fatalf("n=%d query %v: rebuilt %v, brute force %v", n, query, got, want)
 			}
-			if err := f.Validate(); err != nil {
-				t.Fatalf("n=%d: Validate: %v", n, err)
+			if got := f.Count(query); got != len(want) {
+				t.Fatalf("n=%d query %v: Count %d, want %d", n, query, got, len(want))
 			}
-			fb, fok := f.Bounds()
-			tb, tok := tree.Bounds()
-			if fok != tok || (fok && fb != tb) {
-				t.Fatalf("n=%d: Bounds %v/%v, want %v/%v", n, fb, fok, tb, tok)
+			if _, ok := f.SearchAny(query); ok != (len(want) > 0) {
+				t.Fatalf("n=%d query %v: SearchAny %v, want %v", n, query, ok, len(want) > 0)
 			}
-			var all []int32
-			f.All(func(e Entry[geom.Rect]) bool { all = append(all, e.ID); return true })
-			if len(all) != n {
-				t.Fatalf("n=%d: All visited %d entries", n, len(all))
-			}
-			for q := 0; q < 50; q++ {
-				query := randomRect(rng)
-				want := treeSearch(tree, query)
-				if got := flatSearch(f, query); !equalIDs(got, want) {
-					t.Fatalf("n=%d query %v: flat %v, tree %v", n, query, got, want)
-				}
-				if got, want := f.Count(query), tree.Count(query); got != want {
-					t.Fatalf("n=%d query %v: Count %d, want %d", n, query, got, want)
-				}
-				_, fAny := f.SearchAny(query)
-				_, tAny := tree.SearchAny(query)
-				if fAny != tAny {
-					t.Fatalf("n=%d query %v: SearchAny %v, want %v", n, query, fAny, tAny)
-				}
-				var fs, ts trace.Span
-				f.SearchTraced(query, &fs, func(Entry[geom.Rect]) bool { return true })
-				tree.SearchTraced(query, &ts, func(Entry[geom.Rect]) bool { return true })
-				if fs.Counters != ts.Counters {
-					t.Fatalf("n=%d query %v: trace counters %+v, want %+v", n, query, fs.Counters, ts.Counters)
-				}
+			var fs, ts trace.Span
+			f.SearchTraced(query, &fs, func(Entry[geom.Rect]) bool { return true })
+			tree.SearchTraced(query, &ts, func(Entry[geom.Rect]) bool { return true })
+			if fs.Counters != ts.Counters {
+				t.Fatalf("n=%d query %v: trace counters %+v, want %+v", n, query, fs.Counters, ts.Counters)
 			}
 		}
 	}
 }
 
-// TestFlattenEarlyStop checks that a callback returning false stops the
-// flat traversal like it stops the pointer traversal.
-func TestFlattenEarlyStop(t *testing.T) {
+// TestNewFlatEarlyStop checks that a callback returning false stops the
+// traversal of a tree reassembled from its flat arrays.
+func TestNewFlatEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	entries := randomRectEntries(rng, 200)
-	flat := Flatten(BulkLoad(entries, 16))
+	f := rebuild(t, BulkLoad(randomRectEntries(rng, 200), 16))
 	seen := 0
-	done := flat.Search(geom.NewRect(0, 0, 100, 100), func(Entry[geom.Rect]) bool {
+	done := f.Search(geom.NewRect(0, 0, 100, 100), func(Entry[geom.Rect]) bool {
 		seen++
 		return seen < 3
 	})
@@ -109,7 +87,7 @@ func TestFlattenEarlyStop(t *testing.T) {
 // inconsistent tree.
 func TestNewFlatRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	base := Flatten(BulkLoad(randomRectEntries(rng, 300), 16))
+	base := BulkLoad(randomRectEntries(rng, 300), 16)
 
 	check := func(name string, mutate func(meta *FlatMeta, nodeMeta []uint32)) {
 		t.Run(name, func(t *testing.T) {
@@ -144,8 +122,11 @@ func TestNewFlatRejectsCorruption(t *testing.T) {
 	t.Run("length-mismatch", func(t *testing.T) {
 		meta := base.Meta()
 		nb, nm, eb, ids := base.Raw()
-		if _, err := NewFlat[geom.Rect](meta, nb[:len(nb)-2], nm, eb, ids); err == nil {
+		if _, err := NewFlat[geom.Rect](meta, nb[:len(nb)-1], nm, eb, ids); err == nil {
 			t.Fatal("short nodeBounds accepted")
+		}
+		if _, err := NewFlat[geom.Rect](meta, nb, nm, eb[:len(eb)-1], ids); err == nil {
+			t.Fatal("short entryBounds accepted")
 		}
 		if _, err := NewFlat[geom.Rect](meta, nb, nm, eb, ids[:len(ids)-1]); err == nil {
 			t.Fatal("short entryIDs accepted")
@@ -155,8 +136,17 @@ func TestNewFlatRejectsCorruption(t *testing.T) {
 		}
 	})
 
+	t.Run("childless-internal-root", func(t *testing.T) {
+		// A one-node table whose root claims to be internal: the run
+		// check passes vacuously, so only the level walk catches it.
+		meta := FlatMeta{MaxEntries: 16, Height: 1}
+		if _, err := NewFlat[geom.Rect](meta, []geom.Rect{{}}, []uint32{1, 0}, nil, nil); err == nil {
+			t.Fatal("childless internal root accepted")
+		}
+	})
+
 	t.Run("empty", func(t *testing.T) {
-		empty := Flatten(BulkLoad[geom.Rect](nil, 16))
+		empty := BulkLoad[geom.Rect](nil, 16)
 		nb, nm, eb, ids := empty.Raw()
 		f, err := NewFlat[geom.Rect](empty.Meta(), nb, nm, eb, ids)
 		if err != nil {
@@ -171,19 +161,33 @@ func TestNewFlatRejectsCorruption(t *testing.T) {
 	})
 }
 
-// TestFlatMemoryBytes sanity-checks the footprint accounting: nonzero,
-// and growing with the entry count.
+// TestFlatMemoryBytes checks the footprint accounting: nonzero, growing
+// with the entry count, and equal to the Table 4 formula — per node one
+// full bound, per entry bound plus id, per child reference 8 bytes.
 func TestFlatMemoryBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	small := Flatten(BulkLoad(randomRectEntries(rng, 50), 16))
-	big := Flatten(BulkLoad(randomRectEntries(rng, 5000), 16))
+	small := BulkLoad(randomRectEntries(rng, 50), 16)
+	big := BulkLoad(randomRectEntries(rng, 5000), 16)
 	if small.MemoryBytes() <= 0 || big.MemoryBytes() <= small.MemoryBytes() {
 		t.Fatalf("MemoryBytes small=%d big=%d", small.MemoryBytes(), big.MemoryBytes())
 	}
+	children := 0
+	for i := 0; i < big.NumNodes(); i++ {
+		if big.nodeMeta[2*i+1]&1 == 0 {
+			children += int(big.nodeMeta[2*i+1] >> 1)
+		}
+	}
+	want := int64(big.NumNodes()*32 + big.Len()*(32+4) + children*8)
+	if got := big.MemoryBytes(); got != want {
+		t.Fatalf("MemoryBytes = %d, want %d", got, want)
+	}
+	if got := rebuild(t, big).MemoryBytes(); got != want {
+		t.Fatalf("rebuilt MemoryBytes = %d, want %d", got, want)
+	}
 }
 
-// TestFlattenBox3 exercises the 3D instantiation end to end.
-func TestFlattenBox3(t *testing.T) {
+// TestNewFlatBox3 exercises the 3D instantiation end to end.
+func TestNewFlatBox3(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	entries := make([]Entry[geom.Box3], 500)
 	for i := range entries {
@@ -191,19 +195,20 @@ func TestFlattenBox3(t *testing.T) {
 		entries[i] = Entry[geom.Box3]{Box: geom.NewBox3(x, y, z, x+1, y+1, z+1), ID: int32(i)}
 	}
 	tree := BulkLoad(append([]Entry[geom.Box3](nil), entries...), 16)
-	flat := Flatten(tree)
-	nb, nm, eb, ids := flat.Raw()
-	rebuilt, err := NewFlat[geom.Box3](flat.Meta(), nb, nm, eb, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := rebuild(t, tree)
 	if err := rebuilt.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	for q := 0; q < 50; q++ {
 		x, y, z := rng.Float64()*90, rng.Float64()*90, rng.Float64()*90
 		query := geom.NewBox3(x, y, z, x+10, y+10, z+10)
-		if got, want := rebuilt.Count(query), tree.Count(query); got != want {
+		want := 0
+		for _, e := range entries {
+			if e.Box.Intersects(query) {
+				want++
+			}
+		}
+		if got := rebuilt.Count(query); got != want {
 			t.Fatalf("query %d: Count %d, want %d", q, got, want)
 		}
 	}

@@ -1,37 +1,22 @@
 package rtree
 
 import (
-	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/pool"
 )
 
-// dump renders the exact node structure — shapes, fan-outs and entry
-// order — so two trees can be compared for structural identity, not just
-// equal query answers.
-func dump[B Bound[B]](t *Tree[B]) string {
-	var out []byte
-	var walk func(n *node[B], depth int)
-	walk = func(n *node[B], depth int) {
-		out = fmt.Appendf(out, "%d:%v[", depth, n.bounds)
-		if n.leaf {
-			for _, e := range n.entries {
-				out = fmt.Appendf(out, "%d@%v,", e.ID, e.Box)
-			}
-		} else {
-			for _, c := range n.children {
-				walk(c, depth+1)
-			}
-		}
-		out = append(out, ']')
-	}
-	if t.root != nil {
-		walk(t.root, 0)
-	}
-	return string(out)
+// sameLayout reports whether two trees have identical scalars and
+// arrays — structural identity, not just equal query answers.
+func sameLayout[B Bound[B]](a, b *Tree[B]) bool {
+	anb, anm, aeb, aid := a.Raw()
+	bnb, bnm, beb, bid := b.Raw()
+	return a.Meta() == b.Meta() &&
+		reflect.DeepEqual(anb, bnb) && reflect.DeepEqual(anm, bnm) &&
+		reflect.DeepEqual(aeb, beb) && reflect.DeepEqual(aid, bid)
 }
 
 // TestBulkLoadPoolIdentical asserts that parallel STR packing produces a
@@ -45,10 +30,10 @@ func TestBulkLoadPoolIdentical(t *testing.T) {
 			seq := BulkLoad(append([]Entry[geom.Rect](nil), entries...), fanout)
 			for _, par := range []int{2, 8} {
 				got := BulkLoadPool(append([]Entry[geom.Rect](nil), entries...), fanout, pool.New(par))
-				if msg := got.CheckInvariants(); msg != "" {
-					t.Fatalf("n=%d fanout=%d par=%d: %s", n, fanout, par, msg)
+				if err := got.Validate(); err != nil {
+					t.Fatalf("n=%d fanout=%d par=%d: %v", n, fanout, par, err)
 				}
-				if dump(got) != dump(seq) {
+				if !sameLayout(got, seq) {
 					t.Fatalf("n=%d fanout=%d par=%d: parallel tree differs from sequential", n, fanout, par)
 				}
 			}
@@ -66,10 +51,10 @@ func TestBulkLoadPoolIdenticalBox3(t *testing.T) {
 	seq := BulkLoad(append([]Entry[geom.Box3](nil), entries...), 8)
 	for _, par := range []int{2, 8} {
 		got := BulkLoadPool(append([]Entry[geom.Box3](nil), entries...), 8, pool.New(par))
-		if msg := got.CheckInvariants(); msg != "" {
-			t.Fatal(msg)
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
 		}
-		if dump(got) != dump(seq) {
+		if !sameLayout(got, seq) {
 			t.Fatalf("par=%d: parallel 3D tree differs from sequential", par)
 		}
 	}

@@ -1,13 +1,16 @@
-// Package rtree implements an in-memory R-tree over 2D rectangles or 3D
-// boxes, replacing the Boost R-tree the paper uses (§6.1). It backs every
-// spatial index of the library: the 2D point index of SpaReach, the 3D
-// point index of 3DReach and the 3D vertical-segment index of
-// 3DReach-Rev, as well as the MBR-based variants of all three (paper §5).
+// Package rtree implements a read-only in-memory R-tree over 2D
+// rectangles or 3D boxes, replacing the Boost R-tree the paper uses
+// (§6.1). It backs every spatial index of the library: the 2D point
+// index of SpaReach, the 3D point index of 3DReach and the 3D
+// vertical-segment index of 3DReach-Rev, as well as the MBR-based
+// variants of all three (paper §5).
 //
-// Construction is Sort-Tile-Recursive (STR) bulk loading; dynamic
-// insertion uses Guttman's ChooseLeaf with quadratic node splitting.
-// Search supports early termination, which RangeReach evaluation relies
-// on: a query stops at the first witness.
+// Construction is Sort-Tile-Recursive (STR) bulk loading straight into
+// a structure-of-arrays layout, the same four arrays the flat index
+// format persists, so a freshly built, a decoded and a memory-mapped
+// tree all run one search kernel. Search supports early termination,
+// which RangeReach evaluation relies on: a query stops at the first
+// witness.
 package rtree
 
 import (
@@ -19,14 +22,13 @@ import (
 )
 
 // Bound abstracts the axis-aligned bounding shapes the tree can index.
-// geom.Rect and geom.Box3 implement it.
+// geom.Rect and geom.Box3 implement it. Their in-memory layout (min
+// corner, then max corner, float64 per axis) is also their on-disk
+// layout, which lets a persisted bound column overlay a []B directly.
 type Bound[B any] interface {
 	Union(B) B
-	Enlargement(B) float64
 	Intersects(B) bool
 	Contains(B) bool
-	Measure() float64
-	Margin() float64
 	Dims() int
 	CenterCoord(d int) float64
 }
@@ -41,34 +43,31 @@ type Entry[B Bound[B]] struct {
 // DefaultMaxEntries is the default node fan-out.
 const DefaultMaxEntries = 16
 
-// Tree is an R-tree over bounds of type B.
+// Tree is a read-only R-tree over bounds of type B in structure-of-arrays
+// layout. Nodes are numbered in BFS order with node 0 the root; a node's
+// children (or a leaf's entries) occupy one contiguous run, so the whole
+// tree is four flat arrays that overlay a file section without any
+// per-node allocation:
+//
+//	nodeBounds  numNodes B           — one bound per node
+//	nodeMeta    numNodes × 2 uint32  — {first, count<<1 | leafBit}
+//	entryBounds Len() B              — leaf entry bounds
+//	entryIDs    Len() int32          — leaf entry ids
+//
+// The canonical BFS layout makes structural validation linear and
+// cycle-proof: node i's children all have indexes > i, child runs are
+// exactly consecutive, and the arrays' lengths pin every count.
 type Tree[B Bound[B]] struct {
-	root       *node[B]
-	size       int
 	maxEntries int
-	minEntries int
+	height     int
 	// leafBoundBytes overrides the per-leaf-entry bound size used by
 	// MemoryBytes; see SetLeafBoundBytes.
 	leafBoundBytes int
-}
 
-type node[B Bound[B]] struct {
-	bounds   B
-	leaf     bool
-	entries  []Entry[B] // populated iff leaf
-	children []*node[B] // populated iff !leaf
-}
-
-// New returns an empty tree with the given fan-out (0 selects
-// DefaultMaxEntries).
-func New[B Bound[B]](maxEntries int) *Tree[B] {
-	if maxEntries <= 0 {
-		maxEntries = DefaultMaxEntries
-	}
-	if maxEntries < 4 {
-		maxEntries = 4
-	}
-	return &Tree[B]{maxEntries: maxEntries, minEntries: maxEntries * 2 / 5}
+	nodeBounds  []B
+	nodeMeta    []uint32
+	entryBounds []B
+	entryIDs    []int32
 }
 
 // BulkLoad builds a tree over the given entries using Sort-Tile-Recursive
@@ -85,31 +84,46 @@ func BulkLoad[B Bound[B]](entries []Entry[B], maxEntries int) *Tree[B] {
 // runs the same per-slab code over its own disjoint sub-slice, and the
 // leaf groups are concatenated in slab order.
 func BulkLoadPool[B Bound[B]](entries []Entry[B], maxEntries int, p *pool.Pool) *Tree[B] {
-	t := New[B](maxEntries)
+	if maxEntries <= 0 {
+		maxEntries = DefaultMaxEntries
+	}
+	if maxEntries < 4 {
+		maxEntries = 4
+	}
+	t := &Tree[B]{maxEntries: maxEntries}
 	if len(entries) == 0 {
 		return t
 	}
-	t.size = len(entries)
-	leaves := strPack(entries, t.maxEntries, p)
-	nodes := make([]*node[B], len(leaves))
-	makeLeaf := func(i int) {
-		n := &node[B]{leaf: true, entries: leaves[i]}
-		n.recomputeBounds()
-		nodes[i] = n
+	leaves := strPack(entries, maxEntries, p)
+	leafBounds := make([]B, len(leaves))
+	leafBound := func(i int) {
+		b := leaves[i][0].Box
+		for _, e := range leaves[i][1:] {
+			b = b.Union(e.Box)
+		}
+		leafBounds[i] = b
 	}
 	if p.Sequential() {
 		for i := range leaves {
-			makeLeaf(i)
+			leafBound(i)
 		}
 	} else {
-		_ = p.ForEach(len(leaves), func(i int) error { makeLeaf(i); return nil })
+		_ = p.ForEach(len(leaves), func(i int) error { leafBound(i); return nil })
 	}
-	// Pack upper levels until a single root remains. Upper levels hold
+	// Pack upper levels until a single root remains. levels[k] holds the
+	// bounds of level k's nodes in creation order (level 0 = leaves);
+	// orders[k] is level k sorted for packing, parent j of level k+1
+	// owning the run orders[k][j*maxEntries:]. Upper levels hold
 	// ~1/maxEntries of the nodes below; not worth fanning out.
-	for len(nodes) > 1 {
-		nodes = packLevel(nodes, t.maxEntries)
+	levels := [][]B{leafBounds}
+	var orders [][]int32
+	for len(levels[len(levels)-1]) > 1 {
+		order, parents := packLevel(levels[len(levels)-1], maxEntries)
+		orders = append(orders, order)
+		levels = append(levels, parents)
 	}
-	t.root = nodes[0]
+	t.height = len(levels)
+	t.layout(leaves, levels, orders)
 	return t
 }
 
@@ -127,10 +141,7 @@ func strPack[B Bound[B]](entries []Entry[B], maxEntries int, p *pool.Pool) [][]E
 		if dim == dims-1 || len(es) <= maxEntries {
 			groups := make([][]Entry[B], 0, (len(es)+maxEntries-1)/maxEntries)
 			for i := 0; i < len(es); i += maxEntries {
-				end := i + maxEntries
-				if end > len(es) {
-					end = len(es)
-				}
+				end := min(i+maxEntries, len(es))
 				groups = append(groups, es[i:end:end])
 			}
 			return groups
@@ -143,10 +154,7 @@ func strPack[B Bound[B]](entries []Entry[B], maxEntries int, p *pool.Pool) [][]E
 		per := (len(es) + slabs - 1) / slabs
 		var subs [][]Entry[B]
 		for i := 0; i < len(es); i += per {
-			end := i + per
-			if end > len(es) {
-				end = len(es)
-			}
+			end := min(i+per, len(es))
 			subs = append(subs, es[i:end:end])
 		}
 		if dim == 0 && !p.Sequential() && len(subs) > 1 {
@@ -170,56 +178,76 @@ func strPack[B Bound[B]](entries []Entry[B], maxEntries int, p *pool.Pool) [][]E
 	return tile(entries, 0)
 }
 
-// packLevel groups child nodes into parents of at most maxEntries,
-// ordered by the first center coordinate.
-func packLevel[B Bound[B]](nodes []*node[B], maxEntries int) []*node[B] {
-	sort.Slice(nodes, func(i, j int) bool {
-		return nodes[i].bounds.CenterCoord(0) < nodes[j].bounds.CenterCoord(0)
-	})
-	var parents []*node[B]
-	for i := 0; i < len(nodes); i += maxEntries {
-		end := i + maxEntries
-		if end > len(nodes) {
-			end = len(nodes)
-		}
-		p := &node[B]{children: append([]*node[B](nil), nodes[i:end]...)}
-		p.recomputeBounds()
-		parents = append(parents, p)
+// packLevel groups a level's nodes into parents of at most maxEntries,
+// ordered by the first center coordinate. It returns the sorted order
+// (indexes into bounds) and the parents' bounds in creation order.
+func packLevel[B Bound[B]](bounds []B, maxEntries int) (order []int32, parents []B) {
+	order = make([]int32, len(bounds))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	return parents
+	sort.Slice(order, func(i, j int) bool {
+		return bounds[order[i]].CenterCoord(0) < bounds[order[j]].CenterCoord(0)
+	})
+	parents = make([]B, 0, (len(order)+maxEntries-1)/maxEntries)
+	for i := 0; i < len(order); i += maxEntries {
+		run := order[i:min(i+maxEntries, len(order))]
+		b := bounds[run[0]]
+		for _, c := range run[1:] {
+			b = b.Union(bounds[c])
+		}
+		parents = append(parents, b)
+	}
+	return order, parents
 }
 
-func (n *node[B]) recomputeBounds() {
-	if n.leaf {
-		b := n.entries[0].Box
-		for _, e := range n.entries[1:] {
-			b = b.Union(e.Box)
+// layout numbers the packed levels in BFS order from the root down and
+// fills the four arrays: each level's nodes, visited in BFS order,
+// contribute their child runs to the next level's BFS order.
+func (t *Tree[B]) layout(leaves [][]Entry[B], levels [][]B, orders [][]int32) {
+	numNodes := 0
+	for _, l := range levels {
+		numNodes += len(l)
+	}
+	size := 0
+	for _, g := range leaves {
+		size += len(g)
+	}
+	t.nodeBounds = make([]B, 0, numNodes)
+	t.nodeMeta = make([]uint32, 0, 2*numNodes)
+	t.entryBounds = make([]B, 0, size)
+	t.entryIDs = make([]int32, 0, size)
+
+	bfs := []int32{0} // the current level's nodes, in BFS order
+	next := uint32(1) // BFS index of the next child run
+	for k := len(orders) - 1; k >= 0; k-- {
+		order := orders[k]
+		below := make([]int32, 0, len(order))
+		for _, n := range bfs {
+			lo := int(n) * t.maxEntries
+			run := order[lo:min(lo+t.maxEntries, len(order))]
+			t.nodeBounds = append(t.nodeBounds, levels[k+1][n])
+			t.nodeMeta = append(t.nodeMeta, next, uint32(len(run))<<1)
+			next += uint32(len(run))
+			below = append(below, run...)
 		}
-		n.bounds = b
-		return
+		bfs = below
 	}
-	b := n.children[0].bounds
-	for _, c := range n.children[1:] {
-		b = b.Union(c.bounds)
+	for _, n := range bfs {
+		t.nodeBounds = append(t.nodeBounds, levels[0][n])
+		t.nodeMeta = append(t.nodeMeta, uint32(len(t.entryIDs)), uint32(len(leaves[n]))<<1|1)
+		for _, e := range leaves[n] {
+			t.entryBounds = append(t.entryBounds, e.Box)
+			t.entryIDs = append(t.entryIDs, e.ID)
+		}
 	}
-	n.bounds = b
 }
 
 // Len returns the number of stored entries.
-func (t *Tree[B]) Len() int { return t.size }
+func (t *Tree[B]) Len() int { return len(t.entryIDs) }
 
 // Height returns the number of levels in the tree (0 when empty).
-func (t *Tree[B]) Height() int {
-	h := 0
-	for n := t.root; n != nil; {
-		h++
-		if n.leaf {
-			break
-		}
-		n = n.children[0]
-	}
-	return h
-}
+func (t *Tree[B]) Height() int { return t.height }
 
 // Search calls fn for every entry whose bound intersects query. If fn
 // returns false the search stops immediately and Search returns false;
@@ -233,31 +261,30 @@ func (t *Tree[B]) Search(query B, fn func(e Entry[B]) bool) bool {
 // into sp. A nil sp makes it exactly Search — the counting hooks reduce
 // to one predictable branch per node.
 func (t *Tree[B]) SearchTraced(query B, sp *trace.Span, fn func(e Entry[B]) bool) bool {
-	if t.root == nil {
+	if len(t.nodeBounds) == 0 || !t.nodeBounds[0].Intersects(query) {
 		return true
 	}
-	return t.root.search(query, sp, fn)
+	return t.search(0, query, sp, fn)
 }
 
-func (n *node[B]) search(query B, sp *trace.Span, fn func(e Entry[B]) bool) bool {
-	if !n.bounds.Intersects(query) {
-		return true
-	}
-	if n.leaf {
+// search expands node i, whose bound intersects query, visiting
+// children in stored order.
+func (t *Tree[B]) search(i uint32, query B, sp *trace.Span, fn func(e Entry[B]) bool) bool {
+	first, meta := t.nodeMeta[2*i], t.nodeMeta[2*i+1]
+	end := first + meta>>1
+	if meta&1 == 1 {
 		sp.IncLeaf()
-		sp.AddEntries(len(n.entries))
-		for _, e := range n.entries {
-			if e.Box.Intersects(query) {
-				if !fn(e) {
-					return false
-				}
+		sp.AddEntries(int(end - first))
+		for j, b := range t.entryBounds[first:end] {
+			if b.Intersects(query) && !fn(Entry[B]{Box: b, ID: t.entryIDs[first+uint32(j)]}) {
+				return false
 			}
 		}
 		return true
 	}
 	sp.IncNode()
-	for _, c := range n.children {
-		if !c.search(query, sp, fn) {
+	for c := first; c < end; c++ {
+		if t.nodeBounds[c].Intersects(query) && !t.search(c, query, sp, fn) {
 			return false
 		}
 	}
@@ -266,9 +293,7 @@ func (n *node[B]) search(query B, sp *trace.Span, fn func(e Entry[B]) bool) bool
 
 // SearchAny returns some entry intersecting query, or ok=false if none
 // exists. It is the primitive RangeReach engines use: the query needs a
-// single witness. SearchAny short-circuits aggressively — a node whose
-// bounds are fully contained in the query yields its first entry without
-// descending further comparisons.
+// single witness.
 func (t *Tree[B]) SearchAny(query B) (found Entry[B], ok bool) {
 	return t.SearchAnyTraced(query, nil)
 }
@@ -292,25 +317,10 @@ func (t *Tree[B]) Count(query B) int {
 	return count
 }
 
-// All calls fn for every entry in the tree.
+// All calls fn for every entry in the tree, in leaf order.
 func (t *Tree[B]) All(fn func(e Entry[B]) bool) bool {
-	if t.root == nil {
-		return true
-	}
-	return t.root.all(fn)
-}
-
-func (n *node[B]) all(fn func(e Entry[B]) bool) bool {
-	if n.leaf {
-		for _, e := range n.entries {
-			if !fn(e) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range n.children {
-		if !c.all(fn) {
+	for j, b := range t.entryBounds {
+		if !fn(Entry[B]{Box: b, ID: t.entryIDs[j]}) {
 			return false
 		}
 	}
@@ -321,8 +331,8 @@ func (n *node[B]) all(fn func(e Entry[B]) bool) bool {
 // tree is non-empty.
 func (t *Tree[B]) Bounds() (B, bool) {
 	var zero B
-	if t.root == nil {
+	if len(t.nodeBounds) == 0 {
 		return zero, false
 	}
-	return t.root.bounds, true
+	return t.nodeBounds[0], true
 }

@@ -74,59 +74,14 @@ func TestBulkLoadSearchAgainstBruteForce(t *testing.T) {
 		if tr.Len() != n {
 			t.Fatalf("Len = %d, want %d", tr.Len(), n)
 		}
-		if msg := tr.CheckInvariants(); msg != "" {
-			t.Fatalf("trial %d: %s", trial, msg)
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for q := 0; q < 20; q++ {
 			query := randomRect(rng)
 			if !equalIDs(treeSearch(tr, query), bruteSearch(entries, query)) {
 				t.Fatalf("trial %d: search mismatch", trial)
 			}
-		}
-	}
-}
-
-func TestInsertSearchAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	for trial := 0; trial < 15; trial++ {
-		n := rng.Intn(300)
-		entries := randomRectEntries(rng, n)
-		tr := New[geom.Rect](6)
-		for _, e := range entries {
-			tr.Insert(e)
-		}
-		if tr.Len() != n {
-			t.Fatalf("Len = %d, want %d", tr.Len(), n)
-		}
-		if msg := tr.CheckInvariants(); msg != "" {
-			t.Fatalf("trial %d: %s", trial, msg)
-		}
-		for q := 0; q < 20; q++ {
-			query := randomRect(rng)
-			if !equalIDs(treeSearch(tr, query), bruteSearch(entries, query)) {
-				t.Fatalf("trial %d: search mismatch after inserts", trial)
-			}
-		}
-	}
-}
-
-func TestMixedBulkLoadTheInserts(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	base := randomPointEntries(rng, 200)
-	tr := BulkLoad(append([]Entry[geom.Rect](nil), base...), 8)
-	extra := randomRectEntries(rng, 100)
-	for i := range extra {
-		extra[i].ID += 1000
-		tr.Insert(extra[i])
-	}
-	all := append(append([]Entry[geom.Rect](nil), base...), extra...)
-	if msg := tr.CheckInvariants(); msg != "" {
-		t.Fatal(msg)
-	}
-	for q := 0; q < 40; q++ {
-		query := randomRect(rng)
-		if !equalIDs(treeSearch(tr, query), bruteSearch(all, query)) {
-			t.Fatal("search mismatch after mixed build")
 		}
 	}
 }
@@ -171,7 +126,7 @@ func TestEmptyAndSingleton(t *testing.T) {
 		t.Error("empty tree has bounds")
 	}
 
-	tr.Insert(Entry[geom.Rect]{Box: geom.RectFromPoint(geom.Pt(5, 5)), ID: 9})
+	tr = BulkLoad([]Entry[geom.Rect]{{Box: geom.RectFromPoint(geom.Pt(5, 5)), ID: 9}}, 0)
 	if tr.Len() != 1 || tr.Height() != 1 {
 		t.Error("singleton tree stats wrong")
 	}
@@ -221,8 +176,8 @@ func TestBox3Tree(t *testing.T) {
 		entries = append(entries, Entry[geom.Box3]{Box: seg, ID: int32(i)})
 	}
 	tr := BulkLoad(append([]Entry[geom.Box3](nil), entries...), 8)
-	if msg := tr.CheckInvariants(); msg != "" {
-		t.Fatal(msg)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	for q := 0; q < 40; q++ {
 		query := geom.Box3FromRect(randomRect(rng), float64(rng.Intn(1000)), float64(rng.Intn(1000)))
@@ -270,8 +225,8 @@ func TestDuplicatePointsAndDegenerateData(t *testing.T) {
 		entries = append(entries, Entry[geom.Rect]{Box: geom.RectFromPoint(geom.Pt(1, 1)), ID: int32(i)})
 	}
 	tr := BulkLoad(entries, 4)
-	if msg := tr.CheckInvariants(); msg != "" {
-		t.Fatal(msg)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	if got := tr.Count(geom.NewRect(0, 0, 2, 2)); got != 100 {
 		t.Errorf("Count = %d, want 100", got)

@@ -8,115 +8,25 @@ package rtree
 // structural size.
 func (t *Tree[B]) SetLeafBoundBytes(bytes int) { t.leafBoundBytes = bytes }
 
-// boundBytes returns the structural size of a bound of type B: 16 bytes
-// per dimension pair of float64 corners.
-func (t *Tree[B]) boundBytes() int {
-	var probe B
-	return 16 * probe.Dims()
-}
-
-// MemoryBytes returns the approximate footprint of the tree: per leaf
-// entry the bound payload plus a 4-byte id, per internal child a full
-// bound plus a pointer. This is the index-size accounting behind
-// Table 4.
+// MemoryBytes returns the approximate footprint of the tree, the
+// index-size accounting behind Table 4: per node one full bound (16
+// bytes per dimension), per leaf entry the (possibly overridden) leaf
+// bound payload plus a 4-byte id, and per child reference 8 bytes — the
+// child pointer of a pointer-node R-tree. Every node but the root is
+// exactly one child reference.
 func (t *Tree[B]) MemoryBytes() int64 {
-	if t.root == nil {
+	numNodes := int64(t.NumNodes())
+	if numNodes == 0 {
 		return 0
 	}
-	full := t.boundBytes()
+	var probe B
+	full := 16 * probe.Dims()
 	leafBytes := t.leafBoundBytes
 	if leafBytes <= 0 {
 		leafBytes = full
 	}
-	var total int64
-	var walk func(n *node[B])
-	walk = func(n *node[B]) {
-		total += int64(full) // node bounds
-		if n.leaf {
-			total += int64(len(n.entries)) * int64(leafBytes+4)
-			return
-		}
-		total += int64(len(n.children)) * 8
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	return total
+	return numNodes*int64(full) + int64(t.Len())*int64(leafBytes+4) + (numNodes-1)*8
 }
 
 // NumNodes returns the number of nodes in the tree.
-func (t *Tree[B]) NumNodes() int {
-	if t.root == nil {
-		return 0
-	}
-	count := 0
-	var walk func(n *node[B])
-	walk = func(n *node[B]) {
-		count++
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	return count
-}
-
-// CheckInvariants validates structural invariants (bounds cover children,
-// fan-out limits, uniform leaf depth) and returns the first violation as
-// a non-empty string, or "" when the tree is well formed. Tests use it.
-func (t *Tree[B]) CheckInvariants() string {
-	if t.root == nil {
-		if t.size != 0 {
-			return "empty root but non-zero size"
-		}
-		return ""
-	}
-	leafDepth := -1
-	seen := 0
-	var walk func(n *node[B], depth int) string
-	walk = func(n *node[B], depth int) string {
-		if n.leaf {
-			if leafDepth == -1 {
-				leafDepth = depth
-			} else if leafDepth != depth {
-				return "leaves at different depths"
-			}
-			if len(n.entries) == 0 {
-				return "empty leaf"
-			}
-			if len(n.entries) > t.maxEntries {
-				return "leaf over fan-out"
-			}
-			seen += len(n.entries)
-			for _, e := range n.entries {
-				if !n.bounds.Contains(e.Box) {
-					return "leaf bounds do not cover entry"
-				}
-			}
-			return ""
-		}
-		if len(n.children) == 0 {
-			return "internal node without children"
-		}
-		if len(n.children) > t.maxEntries {
-			return "internal node over fan-out"
-		}
-		for _, c := range n.children {
-			if !n.bounds.Contains(c.bounds) {
-				return "node bounds do not cover child"
-			}
-			if msg := walk(c, depth+1); msg != "" {
-				return msg
-			}
-		}
-		return ""
-	}
-	if msg := walk(t.root, 0); msg != "" {
-		return msg
-	}
-	if seen != t.size {
-		return "size mismatch"
-	}
-	return ""
-}
+func (t *Tree[B]) NumNodes() int { return len(t.nodeMeta) / 2 }

@@ -2,79 +2,38 @@ package rtree
 
 import "fmt"
 
-// Validate deep-checks the tree's structural invariants and returns a
-// descriptive error for the first violation:
+// Validate deep-checks the tree's invariants and returns a descriptive
+// error for the first violation:
 //
-//   - leaf nodes hold entries only, internal nodes children only;
-//   - every node's bounds contain each child's bounds (entry boxes in
-//     leaves, node MBRs in internal nodes);
-//   - no node exceeds the fan-out, and no non-root node is empty;
-//   - all leaves sit at the same depth;
-//   - the leaf entry count equals Len().
+//   - the canonical-BFS structure of checkStructure: runs tile the
+//     arrays, no node exceeds the fan-out, no non-root node is empty,
+//     all leaves sit at the stored height, and the leaf entry count
+//     equals Len();
+//   - every node's bound contains each child's bound (entry bounds in
+//     leaves, node bounds in internal nodes).
 //
 // It runs in O(size) and exists for tests, rrserve -check and the
 // post-load validation of persisted indexes.
 func (t *Tree[B]) Validate() error {
-	if t.root == nil {
-		if t.size != 0 {
-			return fmt.Errorf("rtree: nil root but size %d", t.size)
-		}
-		return nil
-	}
-	var entries, leafDepth int
-	var walk func(n *node[B], depth int) error
-	walk = func(n *node[B], depth int) error {
-		if n.leaf {
-			if len(n.children) != 0 {
-				return fmt.Errorf("rtree: leaf node at depth %d has %d children", depth, len(n.children))
-			}
-			if len(n.entries) == 0 && depth != 0 {
-				return fmt.Errorf("rtree: empty non-root leaf at depth %d", depth)
-			}
-			if len(n.entries) > t.maxEntries {
-				return fmt.Errorf("rtree: leaf at depth %d holds %d entries, fan-out is %d",
-					depth, len(n.entries), t.maxEntries)
-			}
-			for i, e := range n.entries {
-				if !n.bounds.Contains(e.Box) {
-					return fmt.Errorf("rtree: leaf MBR at depth %d does not contain entry %d (id %d)",
-						depth, i, e.ID)
-				}
-			}
-			if leafDepth == -1 {
-				leafDepth = depth
-			} else if depth != leafDepth {
-				return fmt.Errorf("rtree: leaves at depths %d and %d; tree is not balanced", leafDepth, depth)
-			}
-			entries += len(n.entries)
-			return nil
-		}
-		if len(n.entries) != 0 {
-			return fmt.Errorf("rtree: internal node at depth %d has %d entries", depth, len(n.entries))
-		}
-		if len(n.children) == 0 {
-			return fmt.Errorf("rtree: internal node at depth %d has no children", depth)
-		}
-		if len(n.children) > t.maxEntries {
-			return fmt.Errorf("rtree: internal node at depth %d holds %d children, fan-out is %d",
-				depth, len(n.children), t.maxEntries)
-		}
-		for i, c := range n.children {
-			if !n.bounds.Contains(c.bounds) {
-				return fmt.Errorf("rtree: node MBR at depth %d does not contain child %d's MBR", depth, i)
-			}
-			if err := walk(c, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	leafDepth = -1
-	if err := walk(t.root, 0); err != nil {
+	if err := t.checkStructure(); err != nil {
 		return err
 	}
-	if entries != t.size {
-		return fmt.Errorf("rtree: %d leaf entries but size %d", entries, t.size)
+	for i, b := range t.nodeBounds {
+		first, meta := t.nodeMeta[2*i], t.nodeMeta[2*i+1]
+		end := first + meta>>1
+		if meta&1 == 1 {
+			for j := first; j < end; j++ {
+				if !b.Contains(t.entryBounds[j]) {
+					return fmt.Errorf("rtree: leaf %d bound does not contain entry %d (id %d)", i, j, t.entryIDs[j])
+				}
+			}
+			continue
+		}
+		for c := first; c < end; c++ {
+			if !b.Contains(t.nodeBounds[c]) {
+				return fmt.Errorf("rtree: node %d bound does not contain child %d", i, c)
+			}
+		}
 	}
 	return nil
 }

@@ -27,6 +27,15 @@ func wantValidateErr(t *testing.T, err error, substr string) {
 	}
 }
 
+// firstLeaf returns the BFS index of the first leaf.
+func firstLeaf[B Bound[B]](tr *Tree[B]) int {
+	i := 0
+	for tr.nodeMeta[2*i+1]&1 == 0 {
+		i = int(tr.nodeMeta[2*i])
+	}
+	return i
+}
+
 func TestValidateBulkLoaded(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 16, 17, 100, 1000} {
 		tr := BulkLoad(gridEntries(n), 0)
@@ -36,75 +45,52 @@ func TestValidateBulkLoaded(t *testing.T) {
 	}
 }
 
-func TestValidateAfterInserts(t *testing.T) {
-	tr := New[geom.Rect](4)
-	for _, e := range gridEntries(200) {
-		tr.Insert(e)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestValidateMBRExcludesEntry(t *testing.T) {
 	tr := BulkLoad(gridEntries(100), 4)
-	// Shrink the MBR of the first leaf to a point that cannot contain
-	// its entries.
-	n := tr.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	n.bounds = geom.NewRect(-1000, -1000, -999, -999)
-	wantValidateErr(t, tr.Validate(), "does not contain")
+	// Move the first leaf's first entry outside the leaf bound, leaving
+	// every node bound intact.
+	first := tr.nodeMeta[2*firstLeaf(tr)]
+	tr.entryBounds[first] = geom.NewRect(-1000, -1000, -999, -999)
+	wantValidateErr(t, tr.Validate(), "does not contain entry")
 }
 
 func TestValidateMBRExcludesChild(t *testing.T) {
 	tr := BulkLoad(gridEntries(1000), 4)
-	if tr.root.leaf {
+	if tr.Height() < 2 {
 		t.Fatal("tree too shallow for the test")
 	}
-	tr.root.bounds = geom.NewRect(0, 0, 1, 1)
+	tr.nodeBounds[0] = geom.NewRect(0, 0, 1, 1)
 	wantValidateErr(t, tr.Validate(), "child")
 }
 
 func TestValidateSizeMismatch(t *testing.T) {
 	tr := BulkLoad(gridEntries(50), 4)
-	tr.size++
+	// An entry no leaf run covers.
+	tr.entryBounds = append(tr.entryBounds, geom.NewRect(0, 0, 1, 1))
+	tr.entryIDs = append(tr.entryIDs, 50)
 	wantValidateErr(t, tr.Validate(), "size")
 }
 
 func TestValidateUnbalanced(t *testing.T) {
-	leaf := func(es ...Entry[geom.Rect]) *node[geom.Rect] {
-		n := &node[geom.Rect]{leaf: true, entries: es}
-		n.recomputeBounds()
-		return n
+	// Root 0 over leaf 1 and internal node 2, whose only child is leaf
+	// 3: the runs tile the arrays, but the leaves sit at depths 1 and 2.
+	r := func(x float64) geom.Rect { return geom.NewRect(x, x, x+1, x+1) }
+	tr := &Tree[geom.Rect]{
+		maxEntries:  16,
+		height:      2,
+		nodeBounds:  []geom.Rect{geom.NewRect(0, 0, 3, 3), r(0), r(2), r(2)},
+		nodeMeta:    []uint32{1, 2 << 1, 0, 1<<1 | 1, 3, 1 << 1, 1, 1<<1 | 1},
+		entryBounds: []geom.Rect{r(0), r(2)},
+		entryIDs:    []int32{1, 2},
 	}
-	a := leaf(Entry[geom.Rect]{Box: geom.NewRect(0, 0, 1, 1), ID: 1})
-	b := leaf(Entry[geom.Rect]{Box: geom.NewRect(2, 2, 3, 3), ID: 2})
-	mid := &node[geom.Rect]{children: []*node[geom.Rect]{b}}
-	mid.recomputeBounds()
-	root := &node[geom.Rect]{children: []*node[geom.Rect]{a, mid}}
-	root.recomputeBounds()
-	tr := &Tree[geom.Rect]{root: root, size: 2, maxEntries: 16, minEntries: 6}
 	wantValidateErr(t, tr.Validate(), "not balanced")
 }
 
-func TestValidateMixedNode(t *testing.T) {
-	tr := BulkLoad(gridEntries(100), 4)
-	n := tr.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	// A leaf with children is structurally impossible; simulate it.
-	n.children = []*node[geom.Rect]{{leaf: true}}
-	wantValidateErr(t, tr.Validate(), "leaf node")
-}
-
 func TestValidateEmptyTree(t *testing.T) {
-	if err := New[geom.Rect](0).Validate(); err != nil {
+	if err := BulkLoad[geom.Rect](nil, 0).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	tr := New[geom.Rect](0)
-	tr.size = 3
-	wantValidateErr(t, tr.Validate(), "nil root")
+	tr := BulkLoad[geom.Rect](nil, 0)
+	tr.height = 3
+	wantValidateErr(t, tr.Validate(), "empty node table")
 }
