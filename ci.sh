@@ -15,6 +15,14 @@ cd "$(dirname "$0")"
 # that lands a subsystem without tests.
 COVERAGE_FLOOR=75
 
+echo "== gofmt =="
+unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
+if [[ -n "$unformatted" ]]; then
+    echo "gofmt -l flags these files:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 

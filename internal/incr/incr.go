@@ -111,7 +111,7 @@ type Index struct {
 	alive     []bool
 	members   [][]int32
 	outC, inC []map[int32]int32 // DAG adjacency, refcounted by original edges
-	post      []int32 // sparse 1-based post; 0 = retired
+	post      []int32           // sparse 1-based post; 0 = retired
 	labels    []intervals.Set
 	maxPost   int32 //lint:monotonic — retired posts are never reused
 	liveComps int

@@ -1,16 +1,43 @@
 package router
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
 
-// fakeClock is an injectable clock for health tests.
-type fakeClock struct{ t time.Time }
+// fakeClock is an injectable clock for health tests. It is safe for
+// concurrent use: router tests advance it while fan-out goroutines read
+// it through the breakers.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time //lint:guardedby mu
+}
 
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1000, 0)} }
+
+// useClock points every shard breaker of rt at clk. Call it before the
+// first request; the swap is still made under each breaker's lock.
+func useClock(rt *Router, clk *fakeClock) {
+	for _, h := range rt.health {
+		h.mu.Lock()
+		h.now = clk.now
+		h.mu.Unlock()
+	}
+}
+
 func mustAllow(t *testing.T, h *health, want bool) {
 	t.Helper()
 	if got := h.allow(); got != want {

@@ -407,6 +407,8 @@ func TestHealthMarkdownAndRecovery(t *testing.T) {
 		DownAfter:    2,
 		DownCooldown: 60 * time.Millisecond,
 	})
+	clk := newFakeClock()
+	useClock(rt, clk)
 	var calls atomic.Int32
 	var healthy atomic.Bool
 	install(0, func(w http.ResponseWriter, r *http.Request) {
@@ -444,7 +446,7 @@ func TestHealthMarkdownAndRecovery(t *testing.T) {
 	// After the cooldown a half-open trial against a recovered backend
 	// closes the breaker.
 	healthy.Store(true)
-	time.Sleep(80 * time.Millisecond)
+	clk.advance(60*time.Millisecond + time.Nanosecond)
 	rec, resp := postQuery(t, rt.Handler(), 1, wholeSpace)
 	if rec.Code != http.StatusOK || !resp.Reachable {
 		t.Fatalf("recovery query: got %d %q", rec.Code, rec.Body.String())
@@ -465,6 +467,8 @@ func TestCanceledProbeDoesNotStickShardDown(t *testing.T) {
 		DownAfter:    1,
 		DownCooldown: 50 * time.Millisecond,
 	})
+	clk := newFakeClock()
+	useClock(rt, clk)
 	// Mark shard 1 down.
 	install(0, answer(false))
 	install(1, func(w http.ResponseWriter, r *http.Request) {
@@ -484,7 +488,7 @@ func TestCanceledProbeDoesNotStickShardDown(t *testing.T) {
 		_, _ = io.Copy(io.Discard, r.Body)
 		<-r.Context().Done()
 	})
-	time.Sleep(80 * time.Millisecond)
+	clk.advance(50*time.Millisecond + time.Nanosecond)
 	if rec, resp := postQuery(t, rt.Handler(), 1, wholeSpace); rec.Code != http.StatusOK || !resp.Reachable {
 		t.Fatalf("early-exit query: got %d %q", rec.Code, rec.Body.String())
 	}

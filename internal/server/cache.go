@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"math"
 	"sync"
 
@@ -26,21 +25,32 @@ const numShards = 16
 // never change generation, so their entries live until evicted; dynamic
 // mode bumps the generation on every snapshot swap, invalidating the
 // whole cache in O(1) without touching entries.
+//
+// Each shard keeps its entries in a slab preallocated to the shard's
+// capacity, linked into recency order by int32 indexes, and a map from
+// key to slot presized to the same capacity: once the slab is full,
+// an eviction recycles the least recently used slot, so Get and Put do
+// not allocate.
 type queryCache struct {
 	shards [numShards]cacheShard
 }
 
 type cacheShard struct {
-	mu    sync.Mutex
-	m     map[cacheKey]*list.Element //lint:guardedby mu
-	order *list.List                 //lint:guardedby mu — front = most recently used
-	cap   int                        // immutable after construction
+	mu   sync.Mutex
+	m    map[cacheKey]int32 //lint:guardedby mu — key → slab slot
+	slab []cacheEntry       //lint:guardedby mu — len = slots ever used, cap = capacity
+	head int32              //lint:guardedby mu — most recently used slot, -1 when empty
+	tail int32              //lint:guardedby mu — least recently used slot, -1 when empty
+	free int32              //lint:guardedby mu — dropped slots, linked through next; -1 when none
 }
 
+// cacheEntry is one slab slot. prev and next link it into the shard's
+// recency list (prev towards head); -1 ends the list.
 type cacheEntry struct {
-	key cacheKey
-	gen uint64
-	val bool
+	key        cacheKey
+	gen        uint64
+	val        bool
+	prev, next int32
 }
 
 // newQueryCache builds a cache holding about capacity entries total.
@@ -53,9 +63,9 @@ func newQueryCache(capacity int) *queryCache {
 	c := &queryCache{}
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
-			m:     make(map[cacheKey]*list.Element),
-			order: list.New(),
-			cap:   per,
+			m:    make(map[cacheKey]int32, per),
+			slab: make([]cacheEntry, 0, per),
+			head: -1, tail: -1, free: -1,
 		}
 	}
 	return c
@@ -88,18 +98,19 @@ func (c *queryCache) Get(k cacheKey, gen uint64) (val, ok bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.m[k]
+	i, ok := s.m[k]
 	if !ok {
 		return false, false
 	}
-	e := el.Value.(*cacheEntry)
-	if e.gen != gen {
-		s.order.Remove(el)
+	if s.slab[i].gen != gen {
+		s.unlink(i)
 		delete(s.m, k)
+		s.slab[i].next, s.free = s.free, i
 		return false, false
 	}
-	s.order.MoveToFront(el)
-	return e.val, true
+	s.unlink(i)
+	s.pushFront(i)
+	return s.slab[i].val, true
 }
 
 // Put stores the answer for k computed at generation gen, evicting the
@@ -108,21 +119,58 @@ func (c *queryCache) Put(k cacheKey, gen uint64, val bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.m[k]; ok {
-		e := el.Value.(*cacheEntry)
-		e.gen = gen
-		e.val = val
-		s.order.MoveToFront(el)
+	if i, ok := s.m[k]; ok {
+		s.slab[i].gen, s.slab[i].val = gen, val
+		s.unlink(i)
+		s.pushFront(i)
 		return
 	}
-	if s.order.Len() >= s.cap {
-		back := s.order.Back()
-		if back != nil {
-			s.order.Remove(back)
-			delete(s.m, back.Value.(*cacheEntry).key)
-		}
+	var i int32
+	switch {
+	case len(s.m) >= cap(s.slab):
+		i = s.tail
+		s.unlink(i)
+		delete(s.m, s.slab[i].key)
+	case s.free >= 0:
+		i, s.free = s.free, s.slab[s.free].next
+	default:
+		i = int32(len(s.slab))
+		s.slab = s.slab[:i+1]
 	}
-	s.m[k] = s.order.PushFront(&cacheEntry{key: k, gen: gen, val: val})
+	s.slab[i] = cacheEntry{key: k, gen: gen, val: val}
+	s.pushFront(i)
+	s.m[k] = i
+}
+
+// unlink takes slot i out of the recency list.
+//
+//lint:locked s.mu
+func (s *cacheShard) unlink(i int32) {
+	e := &s.slab[i]
+	if e.prev >= 0 {
+		s.slab[e.prev].next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next >= 0 {
+		s.slab[e.next].prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+}
+
+// pushFront links slot i in as the most recently used.
+//
+//lint:locked s.mu
+func (s *cacheShard) pushFront(i int32) {
+	e := &s.slab[i]
+	e.prev, e.next = -1, s.head
+	if s.head >= 0 {
+		s.slab[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
 }
 
 // Len reports the current number of entries (tests only).
@@ -131,7 +179,7 @@ func (c *queryCache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		total += s.order.Len()
+		total += len(s.m)
 		s.mu.Unlock()
 	}
 	return total

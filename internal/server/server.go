@@ -22,6 +22,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -229,10 +230,10 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/query", s.instrument(s.mReqQuery, s.handleQuery))
-	s.mux.HandleFunc("POST /v1/batch", s.instrument(s.mReqBatch, s.handleBatch))
-	s.mux.HandleFunc("POST /v1/update", s.instrument(s.mReqUpdate, s.handleUpdate))
-	s.mux.HandleFunc("GET /v1/explain", s.instrument(s.mReqExplain, s.handleExplain))
+	s.mux.HandleFunc("POST /v1/query", s.instrument(epQuery, s.mReqQuery))
+	s.mux.HandleFunc("POST /v1/batch", s.instrument(epBatch, s.mReqBatch))
+	s.mux.HandleFunc("POST /v1/update", s.instrument(epUpdate, s.mReqUpdate))
+	s.mux.HandleFunc("GET /v1/explain", s.instrument(epExplain, s.mReqExplain))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s, nil
@@ -255,9 +256,12 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // statusWriter captures the response status for the request log and
 // carries handler-attached log attributes (a handler runs on one
-// goroutine, so plain appends are safe).
+// goroutine, so plain appends are safe). Handlers take it by pointer
+// and instrument calls them directly, never through an interface or a
+// func value, so escape analysis keeps it on instrument's stack.
 type statusWriter struct {
 	http.ResponseWriter
+	start  time.Time // when instrument received the request
 	status int
 	attrs  []slog.Attr
 }
@@ -269,37 +273,52 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
+// deadline is when the request's QueryTimeout budget, counted from
+// its arrival, runs out.
+func (s *Server) deadline(w *statusWriter) time.Time {
+	return w.start.Add(s.cfg.QueryTimeout)
 }
 
-// annotate attaches attributes to the request's log record; a no-op
-// outside the instrument middleware (e.g. under httptest direct calls).
-func annotate(w http.ResponseWriter, attrs ...slog.Attr) {
-	if sw, ok := w.(*statusWriter); ok {
-		sw.attrs = append(sw.attrs, attrs...)
+// annotate attaches attributes to the request's log record. Without a
+// Logger nobody reads them, so it keeps none.
+func (s *Server) annotate(w *statusWriter, attrs ...slog.Attr) {
+	if s.cfg.Logger != nil {
+		w.attrs = append(w.attrs, attrs...)
 	}
 }
+
+// endpoint names the handler instrument dispatches to.
+type endpoint uint8
+
+const (
+	epQuery endpoint = iota
+	epBatch
+	epUpdate
+	epExplain
+)
 
 // instrument wraps a handler with the request counter, the in-flight
-// gauge, the latency histogram, the per-request timeout context, and
-// the structured request log.
-func (s *Server) instrument(reqs *metrics.Counter, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
+// gauge, the latency histogram and the structured request log. The
+// QueryTimeout budget is enforced by the handlers that can overrun it.
+func (s *Server) instrument(ep endpoint, reqs *metrics.Counter) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		reqs.Inc()
 		s.mInflight.Inc()
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-		h(sw, r.WithContext(ctx))
-		cancel()
-		elapsed := time.Since(start)
+		sw := statusWriter{ResponseWriter: w, start: time.Now()}
+		switch ep {
+		case epQuery:
+			s.handleQuery(&sw, r)
+		case epBatch:
+			s.handleBatch(&sw, r)
+		case epUpdate:
+			s.handleUpdate(&sw, r)
+		case epExplain:
+			s.handleExplain(&sw, r)
+		}
+		elapsed := time.Since(sw.start)
 		s.mLatency.Observe(elapsed.Seconds())
 		s.mInflight.Dec()
-		s.logRequest(r, sw, elapsed)
+		s.logRequest(r, &sw, elapsed)
 	}
 }
 
@@ -335,11 +354,24 @@ func (s *Server) logRequest(r *http.Request, sw *statusWriter, elapsed time.Dura
 	if s.cfg.ShardID != "" {
 		attrs = append(attrs, slog.String("shard", s.cfg.ShardID))
 	}
-	if id, _, ok := trace.ParseTraceparent(r.Header.Get(trace.TraceparentHeader)); ok {
+	if id, _, ok := trace.ParseTraceparent(traceparent(r.Header)); ok {
 		attrs = append(attrs, slog.String("trace_id", id))
 	}
 	attrs = append(attrs, sw.attrs...)
 	s.cfg.Logger.LogAttrs(context.Background(), level, msg, attrs...)
+}
+
+// traceparentKey is trace.TraceparentHeader in canonical form. Indexing
+// the header map with it skips the canonicalization, and the string it
+// allocates, that Header.Get performs on every call.
+var traceparentKey = http.CanonicalHeaderKey(trace.TraceparentHeader)
+
+// traceparent returns the request's traceparent header, "" if absent.
+func traceparent(h http.Header) string {
+	if v := h[traceparentKey]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
 }
 
 // shouldTrace implements the sampling clock: true for every
@@ -415,37 +447,45 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// jsonContentType is the Content-Type value of every JSON reply, built
+// once: assigning it into the header map, unlike Header.Set, allocates
+// nothing.
+var jsonContentType = []string{"application/json"}
+
+func (s *Server) writeJSON(w *statusWriter, status int, v any) {
 	if status >= 400 {
 		s.mReqErrs.Inc()
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	// A write error here means the client went away; the status line is
 	// already committed, so there is nothing left to report.
-	_ = json.NewEncoder(w).Encode(v)
+	_ = json.NewEncoder(w.ResponseWriter).Encode(v)
 }
 
-func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
+func (s *Server) writeError(w *statusWriter, status int, format string, args ...any) {
 	s.writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeBody decodes a JSON request body under the configured size cap,
-// answering the error response itself on failure: 413 for oversized
-// bodies (MaxBytesReader poisons the connection anyway, so the precise
-// status matters to the client), 400 for malformed JSON.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := r.Body
-	if s.cfg.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, body, s.cfg.MaxBodyBytes)
+// writeQuery answers 200 with an untraced queryResponse, encoded into
+// the request's body buffer.
+func (s *Server) writeQuery(w *statusWriter, buf *[]byte, resp queryResponse) {
+	*buf = appendQueryResponse((*buf)[:0], resp)
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	// As in writeJSON, a failed write has no one left to tell.
+	_, _ = w.ResponseWriter.Write(*buf)
+}
+
+// decodeBody decodes a JSON request body under the size cap with
+// encoding/json, answering the error response itself on failure.
+func (s *Server) decodeBody(w *statusWriter, r *http.Request, v any) bool {
+	buf := s.readBody(w, r)
+	if buf == nil {
+		return false
 	}
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", mbe.Limit)
-			return false
-		}
+	defer putBody(buf)
+	if err := json.NewDecoder(bytes.NewReader(*buf)).Decode(v); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return false
 	}
@@ -516,9 +556,15 @@ func (s *Server) methodName() string {
 
 // ---- handlers ----
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !s.decodeBody(w, r, &req) {
+func (s *Server) handleQuery(w *statusWriter, r *http.Request) {
+	buf := s.readBody(w, r)
+	if buf == nil {
+		return
+	}
+	defer putBody(buf)
+	req, err := decodeQuery(*buf)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
 	start := time.Now()
@@ -531,7 +577,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// -trace client) makes this request part of a distributed trace: the
 	// engine runs through the Explain path and the profile rides back in
 	// the response for the router to stitch.
-	traceID, _, traced := trace.ParseTraceparent(r.Header.Get(trace.TraceparentHeader))
+	traceID, _, traced := trace.ParseTraceparent(traceparent(r.Header))
 	rect := rangereach.NewRect(req.Region[0], req.Region[1], req.Region[2], req.Region[3])
 	key := cacheKey{vertex: req.Vertex, region: rect}
 	if s.cache != nil {
@@ -544,17 +590,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			if traced {
 				resp.Shard, resp.TraceID = s.cfg.ShardID, traceID
 				resp.Stats = &rangereach.QueryStats{Method: s.methodName(), CacheHit: true}
+				s.writeJSON(w, http.StatusOK, resp)
+				return
 			}
-			s.writeJSON(w, http.StatusOK, resp)
+			s.writeQuery(w, buf, resp)
 			return
 		}
 		s.mMisses.Inc()
 	}
 	// A single evaluation is microseconds, so the useful cancellation
 	// point is before it: a request that died while queued (client gone,
-	// deadline passed) should not reach the engine at all.
+	// budget spent) should not reach the engine at all. Checking the
+	// clock here spares every query a timer-backed context.
 	if err := r.Context().Err(); err != nil {
 		s.writeError(w, cancelStatus(err), "query: %v", err)
+		return
+	}
+	if time.Since(w.start) >= s.cfg.QueryTimeout {
+		s.writeError(w, http.StatusGatewayTimeout, "query: %v", context.DeadlineExceeded)
 		return
 	}
 	var ans bool
@@ -563,7 +616,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var qs rangereach.QueryStats
 		ans, qs = v.explain(req.Vertex, rect)
 		s.observeStages(qs)
-		annotate(w, slog.String("trace", qs.String()))
+		s.annotate(w, slog.String("trace", qs.String()))
 		if traced {
 			stats = &qs
 		}
@@ -574,15 +627,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		s.cache.Put(key, v.gen, ans)
 	}
-	annotate(w, slog.Int("vertex", req.Vertex), slog.Bool("reachable", ans))
+	s.annotate(w, slog.Int("vertex", req.Vertex), slog.Bool("reachable", ans))
 	resp := queryResponse{
 		Reachable: ans, Gen: v.gen,
 		Micros: time.Since(start).Microseconds(),
 	}
 	if traced {
 		resp.Shard, resp.TraceID, resp.Stats = s.cfg.ShardID, traceID, stats
+		s.writeJSON(w, http.StatusOK, resp)
+		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeQuery(w, buf, resp)
 }
 
 type explainResponse struct {
@@ -595,7 +650,7 @@ type explainResponse struct {
 // with the query answer plus its execution profile. The result cache is
 // consulted like a normal query: a hit reports CacheHit with zero work
 // counters, since the engine never ran.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleExplain(w *statusWriter, r *http.Request) {
 	q := r.URL.Query()
 	vertex, err := strconv.Atoi(q.Get("vertex"))
 	if err != nil {
@@ -624,7 +679,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		if val, ok := s.cache.Get(key, v.gen); ok {
 			s.mHits.Inc()
-			annotate(w, slog.Bool("cached", true))
+			s.annotate(w, slog.Bool("cached", true))
 			s.writeJSON(w, http.StatusOK, explainResponse{
 				Reachable: val, Gen: v.gen,
 				Stats: rangereach.QueryStats{Method: s.methodName(), CacheHit: true},
@@ -639,11 +694,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		s.cache.Put(key, v.gen, ans)
 	}
-	annotate(w, slog.String("trace", qs.String()))
+	s.annotate(w, slog.String("trace", qs.String()))
 	s.writeJSON(w, http.StatusOK, explainResponse{Reachable: ans, Gen: v.gen, Stats: qs})
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBatch(w *statusWriter, r *http.Request) {
+	ctx, cancel := context.WithDeadline(r.Context(), s.deadline(w))
+	defer cancel()
 	var req batchRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -670,7 +727,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			Region: rangereach.NewRect(q.Region[0], q.Region[1], q.Region[2], q.Region[3]),
 		}
 	}
-	results, err := s.evalBatch(r.Context(), v, queries, req.Parallelism)
+	results, err := s.evalBatch(ctx, v, queries, req.Parallelism)
 	if err != nil {
 		s.writeError(w, cancelStatus(err), "batch: %v", err)
 		return
@@ -710,7 +767,7 @@ func (s *Server) evalBatch(ctx context.Context, v view, queries []rangereach.Que
 	return out, nil
 }
 
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleUpdate(w *statusWriter, r *http.Request) {
 	if s.dyn == nil {
 		s.writeError(w, http.StatusNotImplemented, "updates require dynamic mode (rrserve -dynamic)")
 		return
@@ -736,7 +793,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			"unknown op %q (want add_user, add_venue, add_edge, del_edge or move_venue)", req.Op)
 		return
 	}
-	res := s.dyn.submit(r.Context(), op)
+	ctx, cancel := context.WithDeadline(r.Context(), s.deadline(w))
+	defer cancel()
+	res := s.dyn.submit(ctx, op)
 	if res.err != nil {
 		s.mUpdErrs.Inc()
 		status := http.StatusConflict // out-of-range / missing-edge rejections
@@ -776,7 +835,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	} else {
 		resp.Mode, resp.Method = "static", s.cfg.Index.Method().String()
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(&statusWriter{ResponseWriter: w}, http.StatusOK, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -16,7 +16,7 @@ import (
 )
 
 // testNetwork generates a small synthetic network with a fixed seed.
-func testNetwork(t *testing.T) *rangereach.Network {
+func testNetwork(t testing.TB) *rangereach.Network {
 	t.Helper()
 	return rangereach.GenerateSynthetic(rangereach.SyntheticConfig{
 		Name: "server-test", Users: 300, Venues: 150,
