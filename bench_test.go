@@ -217,6 +217,46 @@ func BenchmarkFig7Selectivity(b *testing.B) {
 	}
 }
 
+// BenchmarkRangeReach3DManyLabels times 3DReach on the yelp-like
+// preset's vertices with 100+ labels, where answering one cuboid per
+// label used to dominate: the Replicate and MBR engines and a dynamic
+// snapshot, over 1% and default-extent regions.
+func BenchmarkRangeReach3DManyLabels(b *testing.B) {
+	benchSetup()
+	ds := 3 // yelp-like, the fragmented preset with the longest label sets
+	prep := benchPreps[ds]
+	l := benchEngine(b, ds, core.MethodThreeDReach, dataset.Replicate).(*core.ThreeDReach).Labeling()
+	var many []int
+	for v := 0; v < prep.Net.NumVertices(); v++ {
+		if len(l.Labels[prep.CompOf(v)]) >= 100 {
+			many = append(many, v)
+		}
+	}
+	if len(many) == 0 {
+		b.Fatal("no vertex with 100+ labels")
+	}
+	dyn := incr.New(prep, incr.Options{})
+	for _, extent := range []float64{1, workload.DefaultExtent} {
+		qs := make([]workload.Query, 256)
+		for i := range qs {
+			qs[i] = workload.Query{Vertex: many[i%len(many)], Region: benchGens[ds].Region(extent)}
+		}
+		for _, p := range []dataset.SCCPolicy{dataset.Replicate, dataset.MBR} {
+			b.Run(p.String()+"/extent-"+pct(extent), func(b *testing.B) {
+				runQueries(b, benchEngine(b, ds, core.MethodThreeDReach, p), qs)
+			})
+		}
+		b.Run("snapshot/extent-"+pct(extent), func(b *testing.B) {
+			snap := dyn.Snapshot()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := qs[i%len(qs)]
+				snap.RangeReach(q.Vertex, q.Region)
+			}
+		})
+	}
+}
+
 // BenchmarkDynamicUpdates measures the incremental engine's update
 // throughput (paper §8 future work): alternating edge insertions,
 // deletions and queries on a changing network.

@@ -121,14 +121,15 @@ grep -q '"method": "Auto"' /tmp/rrbench-smoke.json
 grep -q '"region_sweep"' /tmp/rrbench-smoke.json
 
 if [[ "${1:-}" != "-short" ]]; then
-    # Two smoke runs, best-of per (dataset, method) p50, against the
-    # committed PR 3 baseline. The 3x factor plus the absolute noise
+    # Two smoke runs, best-of per (dataset, method) p50, against
+    # BENCH_PR14.json, recorded at this same smoke config (scale 0.05,
+    # 20 queries, weeplaces-like). The 3x factor plus the absolute noise
     # floor means only order-of-magnitude regressions fail the gate —
     # shared CI runners jitter far too much for tighter thresholds.
     echo "== bench regression =="
     go run ./cmd/rrbench -exp table3 -scale 0.05 -queries 20 \
         -datasets weeplaces-like -json /tmp/rrbench-smoke2.json >/dev/null
-    go run ./cmd/rrbench -compare BENCH_PR3.json \
+    go run ./cmd/rrbench -compare BENCH_PR14.json \
         /tmp/rrbench-smoke.json /tmp/rrbench-smoke2.json
 fi
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
+	"repro/internal/intervals"
 	"repro/internal/kdtree"
 	"repro/internal/pool"
 	"repro/internal/rtree"
@@ -40,11 +41,12 @@ func (b SpatialBackend) String() string {
 	}
 }
 
-// pointIndex3 abstracts "is there any indexed 3D point inside this box?"
-// — the only primitive point-based 3DReach needs. The span threads the
-// per-backend work counters out; nil disables them.
+// pointIndex3 abstracts "is there any indexed 3D point in R × ∪run?"
+// — the only primitive point-based 3DReach needs, where run is the
+// query vertex's label set. The span threads the per-backend work
+// counters out, labels included; nil disables them.
 type pointIndex3 interface {
-	AnyInBox(q geom.Box3, sp *trace.Span) bool
+	AnyInRun(r geom.Rect, run intervals.Set, sp *trace.Span) bool
 	MemoryBytes() int64
 }
 
@@ -88,25 +90,54 @@ func buildPointIndex3(pts []point3, backend SpatialBackend, fanout int, p *pool.
 
 type rtreeIndex struct{ t *rtree.Tree[geom.Box3] }
 
-func (r rtreeIndex) AnyInBox(q geom.Box3, sp *trace.Span) bool {
-	_, ok := r.t.SearchAnyTraced(q, sp)
-	return ok
+func (x rtreeIndex) AnyInRun(r geom.Rect, run intervals.Set, sp *trace.Span) bool {
+	countRootLabels(x.t, run, sp)
+	return rtree.AnyInRun(x.t, r, run, sp)
 }
 
-func (r rtreeIndex) MemoryBytes() int64 { return r.t.MemoryBytes() }
+func (x rtreeIndex) MemoryBytes() int64 { return x.t.MemoryBytes() }
+
+// countRootLabels adds to sp the intervals of run that overlap the
+// tree's root z-extent — the labels the one-descent kernel carries
+// into the tree. Untraced queries skip the two binary searches.
+func countRootLabels(t *rtree.Tree[geom.Box3], run intervals.Set, sp *trace.Span) {
+	if !sp.Enabled() {
+		return
+	}
+	if root, ok := t.Bounds(); ok {
+		sp.AddLabels(len(rtree.ZOverlap(run, root.Min.Z, root.Max.Z)))
+	}
+}
+
+// anyPerLabel is the ablation backends' run search: they have no run
+// kernel, so they search one cuboid per label and count every label
+// they search.
+func anyPerLabel(r geom.Rect, run intervals.Set, sp *trace.Span, anyInBox func(q geom.Box3) bool) bool {
+	for _, iv := range run {
+		sp.AddLabels(1)
+		if anyInBox(geom.Box3FromRect(r, float64(iv.Lo), float64(iv.Hi))) {
+			return true
+		}
+	}
+	return false
+}
 
 type kdtreeIndex struct{ t *kdtree.Tree }
 
-func (k kdtreeIndex) AnyInBox(q geom.Box3, sp *trace.Span) bool {
-	return !k.t.SearchBox3Traced(q, sp, func(kdtree.Point) bool { return false })
+func (k kdtreeIndex) AnyInRun(r geom.Rect, run intervals.Set, sp *trace.Span) bool {
+	return anyPerLabel(r, run, sp, func(q geom.Box3) bool {
+		return !k.t.SearchBox3Traced(q, sp, func(kdtree.Point) bool { return false })
+	})
 }
 
 func (k kdtreeIndex) MemoryBytes() int64 { return k.t.MemoryBytes() }
 
 type gridIndex struct{ g *spatialgrid.Grid }
 
-func (g gridIndex) AnyInBox(q geom.Box3, sp *trace.Span) bool {
-	return !g.g.SearchBox3Traced(q, sp, func(spatialgrid.Point) bool { return false })
+func (g gridIndex) AnyInRun(r geom.Rect, run intervals.Set, sp *trace.Span) bool {
+	return anyPerLabel(r, run, sp, func(q geom.Box3) bool {
+		return !g.g.SearchBox3Traced(q, sp, func(spatialgrid.Point) bool { return false })
+	})
 }
 
 func (g gridIndex) MemoryBytes() int64 { return g.g.MemoryBytes() }

@@ -4,6 +4,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/intervals"
 	"repro/internal/labeling"
 	"repro/internal/pool"
 	"repro/internal/rtree"
@@ -17,7 +18,9 @@ import (
 // becomes the 3D point (u.x, u.y, post(u)); a RangeReach(G, v, R) query
 // becomes one 3D range query per label [l, h] ∈ L(v) — the cuboid with
 // base R spanning [l, h] on the third axis. The query is positive iff
-// some cuboid contains a point.
+// some cuboid contains a point. All of v's cuboids are answered in one
+// descent of the R-tree (rtree.AnyInRun), which carries the sorted
+// label run down and drops the intervals that miss each node.
 type ThreeDReach struct {
 	prep   *dataset.Prepared
 	policy dataset.SCCPolicy
@@ -127,65 +130,49 @@ func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, op
 // Name implements Engine.
 func (e *ThreeDReach) Name() string { return "3DReach" }
 
-// RangeReach implements Engine: one cuboid query per label, stopping at
-// the first witness.
+// RangeReach implements Engine: one descent of the 3D index for the
+// cuboids R × [l, h] of every label [l, h] ∈ L(v), stopping at the
+// first witness.
 func (e *ThreeDReach) RangeReach(v int, r geom.Rect) bool {
 	return e.RangeReachTraced(v, r, nil)
 }
 
-// RangeReachTraced implements Engine: each label of the query vertex
-// counts as inspected, the per-cuboid 3D searches accumulate index-node
-// work into the spatial stage, and MBR-policy member confirmations into
-// the verify stage.
+// RangeReachTraced implements Engine: the labels of the query vertex
+// that overlap the index's root z-extent count as inspected, the
+// descent accumulates index-node work into the spatial stage, and
+// MBR-policy member confirmations into the verify counter.
 func (e *ThreeDReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
-	src := int(e.prep.CompOf(v))
-	for _, iv := range e.l.Labels[src] {
-		sp.AddLabels(1)
-		q := geom.Box3FromRect(r, float64(iv.Lo), float64(iv.Hi))
-		if e.points != nil {
-			t := sp.Start()
-			hit := e.points.AnyInBox(q, sp)
-			sp.End(trace.StageSpatial, t)
-			if hit {
-				return true
-			}
-			continue
+	t := sp.Start()
+	hit := e.descend(r, e.l.Labels[e.prep.CompOf(v)], sp)
+	sp.End(trace.StageSpatial, t)
+	return hit
+}
+
+// descend answers R × ∪run against whichever 3D index the policy built.
+func (e *ThreeDReach) descend(r geom.Rect, run intervals.Set, sp *trace.Span) bool {
+	if e.points != nil {
+		return e.points.AnyInRun(r, run, sp)
+	}
+	countRootLabels(e.boxes, run, sp)
+	if e.exactBoxes {
+		return rtree.AnyInRun(e.boxes, r, run, sp)
+	}
+	// MBR policy: member confirmation runs inside the R-tree descent,
+	// so the whole interleaved pass is timed as the spatial stage
+	// (stage timings stay disjoint); the member counter still records
+	// the verification work.
+	return !rtree.SearchRun(e.boxes, r, run, sp, func(entry rtree.Entry[geom.Box3]) bool {
+		if r.ContainsRect(entry.Box.Rect()) {
+			return false
 		}
-		if e.exactBoxes {
-			t := sp.Start()
-			_, ok := e.boxes.SearchAnyTraced(q, sp)
-			sp.End(trace.StageSpatial, t)
-			if ok {
-				return true
-			}
-			continue
-		}
-		// MBR policy: member confirmation runs inside the R-tree
-		// traversal, so the whole interleaved pass is timed as the
-		// spatial stage (stage timings stay disjoint); the member
-		// counter still records the verification work.
-		hit := false
-		t := sp.Start()
-		e.boxes.SearchTraced(q, sp, func(entry rtree.Entry[geom.Box3]) bool {
-			if r.ContainsRect(entry.Box.Rect()) {
-				hit = true
+		for _, m := range e.prep.SpatialMembers[entry.ID] {
+			sp.IncMember()
+			if e.prep.Witness(m, r) {
 				return false
 			}
-			for _, m := range e.prep.SpatialMembers[entry.ID] {
-				sp.IncMember()
-				if e.prep.Witness(m, r) {
-					hit = true
-					break
-				}
-			}
-			return !hit
-		})
-		sp.End(trace.StageSpatial, t)
-		if hit {
-			return true
 		}
-	}
-	return false
+		return true
+	})
 }
 
 // MemoryBytes implements Engine: labeling plus the 3D index.

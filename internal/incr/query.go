@@ -24,9 +24,9 @@ type qview struct {
 
 // rangeReach is the standard 3DReach evaluation over patched state:
 // the occupancy grid first (a region with no venues anywhere answers
-// false in a few cell reads), then one cuboid search per label
-// interval against the base tree — skipping tombstoned entries — then
-// the bounded overlay scan.
+// false in a few cell reads), then one descent of the base tree for
+// the whole label run — skipping tombstoned entries — then one scan of
+// the bounded overlay, stabbing each entry's z against the run.
 func (q qview) rangeReach(v int, r geom.Rect, sp *trace.Span) bool {
 	if v < 0 || v >= q.n {
 		panic(fmt.Sprintf("incr: vertex %d out of range [0,%d)", v, q.n))
@@ -34,37 +34,48 @@ func (q qview) rangeReach(v int, r geom.Rect, sp *trace.Span) bool {
 	if !q.grid.maybe(r) {
 		return false
 	}
-	for _, iv := range q.labels[q.comp[v]] {
-		sp.AddLabels(1)
-		box := geom.Box3FromRect(r, float64(iv.Lo), float64(iv.Hi))
-		t := sp.Start()
-		ok := false
-		if len(q.stale) == 0 {
-			_, ok = q.base.SearchAnyTraced(box, sp)
-		} else {
-			q.base.SearchTraced(box, sp, func(e rtree.Entry[geom.Box3]) bool {
-				if _, dead := q.stale[e.ID]; dead {
-					return true
-				}
+	run := q.labels[q.comp[v]]
+	if sp.Enabled() {
+		sp.AddLabels(q.rootLabels(run))
+	}
+	t := sp.Start()
+	ok := q.searchBase(r, run, sp)
+	if !ok {
+		sp.AddEntries(len(q.overlay))
+		for i := range q.overlay {
+			if rtree.InRun(&q.overlay[i].Box, r, run) {
 				ok = true
-				return false
-			})
-		}
-		if !ok {
-			sp.AddEntries(len(q.overlay))
-			for _, e := range q.overlay {
-				if e.Box.Intersects(box) {
-					ok = true
-					break
-				}
+				break
 			}
 		}
-		sp.End(trace.StageSpatial, t)
-		if ok {
-			return true
-		}
 	}
-	return false
+	sp.End(trace.StageSpatial, t)
+	return ok
+}
+
+// searchBase runs the rtree kernel over the base tree, skipping
+// tombstoned entries when there are any.
+func (q qview) searchBase(r geom.Rect, run intervals.Set, sp *trace.Span) bool {
+	if len(q.stale) == 0 {
+		return rtree.AnyInRun(q.base, r, run, sp)
+	}
+	return !rtree.SearchRun(q.base, r, run, sp, func(e rtree.Entry[geom.Box3]) bool {
+		_, dead := q.stale[e.ID]
+		return dead
+	})
+}
+
+// rootLabels counts the intervals of run that overlap the z-extent of
+// everything indexed: the base tree's root joined with the overlay.
+func (q qview) rootLabels(run intervals.Set) int {
+	ext, ok := q.base.Bounds()
+	if !ok {
+		ext = geom.EmptyBox3()
+	}
+	for i := range q.overlay {
+		ext = ext.Union(q.overlay[i].Box)
+	}
+	return len(rtree.ZOverlap(run, ext.Min.Z, ext.Max.Z))
 }
 
 func (x *Index) view() qview {

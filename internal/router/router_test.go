@@ -181,10 +181,21 @@ func TestQueryFirstPositiveCancelsRemaining(t *testing.T) {
 func TestQueryAllNegativeWaitsForAllShards(t *testing.T) {
 	m := testMap(wholeSpace, wholeSpace, wholeSpace)
 	rt, install := testCluster(t, m, Config{})
-	var completed atomic.Int32
+	// A barrier: no shard answers until all three calls have reached
+	// their handlers, so a router that answered after fewer than three
+	// results would find completed < 3.
+	var arrived, completed atomic.Int32
+	release := make(chan struct{})
 	for sid := 0; sid < 3; sid++ {
 		install(sid, func(w http.ResponseWriter, r *http.Request) {
-			time.Sleep(20 * time.Millisecond)
+			if arrived.Add(1) == 3 {
+				close(release)
+			}
+			select {
+			case <-release:
+			case <-r.Context().Done():
+				return
+			}
 			completed.Add(1)
 			answer(false)(w, r)
 		})
@@ -522,11 +533,19 @@ func TestBatchFailedShardExactPositives(t *testing.T) {
 	right := [4]float64{6, 0, 10, 10}
 	m := testMap(left, right)
 	rt, install := testCluster(t, m, Config{Policy: PolicyFail})
-	// Left answers after the right shard's failure has already landed,
-	// so the all-settled state is only reached on the final shard result
-	// (the early-exit branch is skipped).
+	// Left answers only after the right shard has put its failure on
+	// the wire, so the failure normally lands first and the all-settled
+	// state is reached on the final shard result. Early exit cannot fire
+	// either way (the vertex-2 query stays negative), so the asserted
+	// outcome does not depend on the arrival order.
+	rightFailed := make(chan struct{})
+	var failOnce sync.Once
 	install(0, func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(30 * time.Millisecond)
+		select {
+		case <-rightFailed:
+		case <-r.Context().Done():
+			return
+		}
 		var req batchRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -541,6 +560,8 @@ func TestBatchFailedShardExactPositives(t *testing.T) {
 	})
 	install(1, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
+		w.(http.Flusher).Flush()
+		failOnce.Do(func() { close(rightFailed) })
 	})
 	queries := []queryRequest{
 		{Vertex: 1, Region: [4]float64{1, 1, 9, 9}}, // spans both; positive from left
