@@ -153,19 +153,6 @@ func TestOptions(t *testing.T) {
 	if _, err := net.Build(rangereach.GeoReach, rangereach.WithGeoReachParams(0.5, 16, 2)); err != nil {
 		t.Error(err)
 	}
-	// All three spatial backends answer identically.
-	region := rangereach.NewRect(60, 55, 90, 95)
-	for _, b := range []rangereach.SpatialBackend{
-		rangereach.BackendRTree, rangereach.BackendKDTree, rangereach.BackendGrid,
-	} {
-		idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithSpatialBackend(b))
-		if err != nil {
-			t.Fatalf("backend %v: %v", b, err)
-		}
-		if !idx.RangeReach(0, region) || idx.RangeReach(2, region) {
-			t.Errorf("backend %v wrong answers", b)
-		}
-	}
 }
 
 func TestSetRectGeometries(t *testing.T) {

@@ -30,11 +30,12 @@ type QueryStats struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 
 	// Labels is the number of interval labels of the query vertex that
-	// were inspected (3DReach: one cuboid query each; SocReach: one
-	// range scan each; SpaReach-INT/BFL: labels consulted by probes).
+	// were inspected (3DReach: those overlapping the 3D tree's root
+	// z-extent, all carried by one descent; SocReach: one range scan
+	// each; SpaReach-INT/BFL: labels consulted by probes).
 	Labels int64 `json:"labels,omitempty"`
 	// IndexNodes and IndexLeaves count the internal and leaf nodes of
-	// the spatial index (R-tree, k-d tree, grid) whose bounds
+	// the spatial R-tree whose bounds
 	// intersected a query box and were therefore expanded.
 	IndexNodes  int64 `json:"index_nodes,omitempty"`
 	IndexLeaves int64 `json:"index_leaves,omitempty"`

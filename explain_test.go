@@ -104,28 +104,6 @@ func TestExplainParityAllMethods(t *testing.T) {
 	}
 }
 
-// TestExplainParityBackends covers the alternative 3D point backends.
-func TestExplainParityBackends(t *testing.T) {
-	net := explainNetwork(t)
-	queries := explainQueries(net, 40, 11)
-	for _, b := range []rangereach.SpatialBackend{rangereach.BackendKDTree, rangereach.BackendGrid} {
-		idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithSpatialBackend(b))
-		if err != nil {
-			t.Fatalf("%v: %v", b, err)
-		}
-		for _, q := range queries {
-			want := idx.RangeReach(q.V, q.R)
-			got, stats := idx.Explain(q.V, q.R)
-			if got != want {
-				t.Fatalf("%v: Explain(%d, %+v) = %v, RangeReach = %v", b, q.V, q.R, got, want)
-			}
-			if want && stats.Labels == 0 {
-				t.Fatalf("%v: positive query inspected no labels", b)
-			}
-		}
-	}
-}
-
 // TestExplainStatsSemantics pins the per-method counter meanings on the
 // paper's Figure 1 example, where the expected work is known by hand.
 func TestExplainStatsSemantics(t *testing.T) {

@@ -70,26 +70,6 @@ func WithBFLBits(bits int) Option {
 	return func(c *buildConfig) { c.opts.SpaReach.BFLBits = bits }
 }
 
-// SpatialBackend selects the 3D point index behind ThreeDReach under the
-// default Replicate policy.
-type SpatialBackend = core.SpatialBackend
-
-// The available 3DReach spatial backends.
-const (
-	// BackendRTree is the paper's choice (default).
-	BackendRTree = core.BackendRTree
-	// BackendKDTree uses a balanced k-d tree.
-	BackendKDTree = core.BackendKDTree
-	// BackendGrid uses a uniform 3D grid.
-	BackendGrid = core.BackendGrid
-)
-
-// WithSpatialBackend swaps the 3D point index of ThreeDReach; the paper
-// (§7.2) notes the R-tree is replaceable by any 3D-capable structure.
-func WithSpatialBackend(b SpatialBackend) Option {
-	return func(c *buildConfig) { c.opts.ThreeD.Backend = b }
-}
-
 // WithAutoMembers selects the member engines of a MethodAuto composite
 // (default: SocReach, ThreeDReachRev, SpaReachINT). Naive and
 // MethodAuto itself are not valid members; at most eight members are

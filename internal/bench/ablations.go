@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/workload"
@@ -68,44 +66,5 @@ func (s *Suite) AblationStreaming() {
 				fmtDuration(avgQueryTime(streaming, qs)))
 		}
 		s.printf("%-16s %14s %14s %14s %14s\n", row[0], row[1], row[2], row[3], row[4])
-	}
-}
-
-// Ablation3DBackend compares the three 3D point indexes 3DReach can run
-// on — R-tree (the paper's choice), k-d tree and uniform grid (§7.2) —
-// by index size, build time and query time on the default workload.
-func (s *Suite) Ablation3DBackend() {
-	backends := []core.SpatialBackend{core.BackendRTree, core.BackendKDTree, core.BackendGrid}
-	s.printf("\n== Ablation: 3DReach spatial backend ==\n")
-	for ds := range s.nets {
-		qs := s.gens[ds].Batch(s.cfg.Queries, workload.DefaultExtent, workload.DefaultDegreeBucket)
-		s.printf("\n-- %s --\n", s.nets[ds].Name)
-		s.printf("%-10s %12s %12s %12s\n", "backend", "index", "build", "qtime")
-		for _, b := range backends {
-			start := time.Now()
-			e := core.NewThreeDReach(s.preps[ds], core.ThreeDOptions{Backend: b})
-			build := time.Since(start)
-			s.printf("%-10s %12s %12s %12s\n",
-				b.String(), fmtBytes(e.MemoryBytes()), fmtDuration(build),
-				fmtDuration(avgQueryTime(e, qs)))
-		}
-	}
-}
-
-// AblationSocReach compares SocReach's two descendant-scan backends: the
-// plain post-order array (the paper's "simple for loops on the array
-// storing the network vertices in main memory") against the B+-tree over
-// post(v) that §4.1 offers for updatable networks.
-func (s *Suite) AblationSocReach() {
-	s.printf("\n== Ablation: SocReach descendant scan (array vs B+-tree) ==\n")
-	s.printf("%-16s %14s %14s\n", "dataset", "array", "b+tree")
-	for ds := range s.nets {
-		qs := s.gens[ds].Batch(s.cfg.Queries, workload.DefaultExtent, workload.DefaultDegreeBucket)
-		arr := core.NewSocReach(s.preps[ds], core.SocReachOptions{})
-		bpt := core.NewSocReach(s.preps[ds], core.SocReachOptions{UseBPTree: true})
-		s.printf("%-16s %14s %14s\n",
-			s.nets[ds].Name,
-			fmtDuration(avgQueryTime(arr, qs)),
-			fmtDuration(avgQueryTime(bpt, qs)))
 	}
 }

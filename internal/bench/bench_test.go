@@ -140,9 +140,9 @@ func TestAblationsRun(t *testing.T) {
 	s, buf := tinySuite(t, "weeplaces-like")
 	s.AblationForest()
 	s.AblationCompression()
-	s.AblationSocReach()
+	s.AblationStreaming()
 	out := buf.String()
-	for _, want := range []string{"spanning-forest", "compression", "B+-tree"} {
+	for _, want := range []string{"spanning-forest", "compression", "streaming"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablation report missing %q", want)
 		}

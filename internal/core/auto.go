@@ -56,9 +56,7 @@ func workKindOf(m Method) planner.WorkKind {
 	switch m {
 	case MethodSocReach, MethodGeoReach:
 		return planner.WorkDescendants
-	case MethodThreeDReach:
-		return planner.WorkCuboids
-	case MethodThreeDReachRev:
+	case MethodThreeDReach, MethodThreeDReachRev:
 		return planner.WorkPlane
 	default: // all SpaReach variants
 		return planner.WorkCandidates
@@ -149,7 +147,7 @@ func (s *sharedBuild) buildMember(m Method) (Engine, error) {
 func (s *sharedBuild) withPolicy(m Method, policy dataset.SCCPolicy) (Engine, error) {
 	switch m {
 	case MethodSocReach:
-		return NewSocReachWithLabeling(s.prep, s.forward(), s.opts.SocReach), nil
+		return NewSocReachWithLabeling(s.prep, s.forward()), nil
 	case MethodSpaReachINT:
 		so := s.opts.SpaReach
 		so.Policy = policy

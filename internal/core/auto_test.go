@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/labeling"
+	"repro/internal/planner"
 	"repro/internal/trace"
 )
 
@@ -388,4 +389,44 @@ func BenchmarkAutoOverhead(b *testing.B) {
 			m.RangeReach(q.v, q.r)
 		}
 	})
+}
+
+// TestAutoThreeDReachWorkIgnoresLabelCount pins the planner's 3DReach
+// work estimate: one descent carries all of L(v) down the 3D tree, so
+// a 1-label vertex and a 100-label vertex are priced the same for any
+// region.
+func TestAutoThreeDReachWorkIgnoresLabelCount(t *testing.T) {
+	net := dataset.YelpLike(0.2, 5)
+	prep := dataset.Prepare(net)
+	a, err := BuildAuto(prep, BuildOptions{Auto: AutoOptions{
+		Members:   []Method{MethodSocReach, MethodThreeDReach},
+		Calibrate: -1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := a.members[1].(*ThreeDReach).l
+	few, many := -1, -1
+	for v := 0; v < net.NumVertices() && (few < 0 || many < 0); v++ {
+		switch n := len(fwd.Labels[prep.CompOf(v)]); {
+		case n == 1 && few < 0:
+			few = v
+		case n >= 100 && many < 0:
+			many = v
+		}
+	}
+	if few < 0 || many < 0 {
+		t.Fatalf("no 1-label (%d) or 100-label (%d) vertex", few, many)
+	}
+	space := net.Space()
+	quarter := geom.NewRect(space.Min.X, space.Min.Y, space.Center().X, space.Center().Y)
+	for _, r := range []geom.Rect{space, quarter, geom.RectFromPoint(space.Center())} {
+		var bufFew, bufMany [planner.MaxMembers]float64
+		wFew := a.pl.EstimateWorks(few, r, bufFew[:])[1]
+		wMany := a.pl.EstimateWorks(many, r, bufMany[:])[1]
+		if wFew != wMany {
+			t.Errorf("region %v: 3DReach work %g at 1 label, %g at %d labels",
+				r, wFew, wMany, len(fwd.Labels[prep.CompOf(many)]))
+		}
+	}
 }

@@ -80,12 +80,8 @@ func saveEngineTo(bw *bufio.Writer, e Engine) error {
 			_, err = eng.rev.WriteTo(bw)
 		}
 	case *SocReach:
-		flags := uint8(0)
-		if eng.post != nil {
-			flags = 1
-		}
 		if err = writeHeader(MethodSocReach, dataset.Replicate); err == nil {
-			if err = binary.Write(bw, binary.LittleEndian, flags); err == nil {
+			if err = binary.Write(bw, binary.LittleEndian, uint8(0)); err == nil { // flags
 				_, err = eng.l.WriteTo(bw)
 			}
 		}
@@ -213,6 +209,9 @@ func loadEngineFrom(br *bufio.Reader, prep *dataset.Prepared, opts BuildOptions)
 		if err := binary.Read(br, binary.LittleEndian, &flags); err != nil {
 			return BuildResult{}, fmt.Errorf("core: reading flags: %w", err)
 		}
+		if flags&^socFlagBPTree != 0 {
+			return BuildResult{}, fmt.Errorf("core: unknown SocReach flags %#x", flags)
+		}
 		l, err := labeling.ReadLabeling(br)
 		if err != nil {
 			return BuildResult{}, err
@@ -220,9 +219,7 @@ func loadEngineFrom(br *bufio.Reader, prep *dataset.Prepared, opts BuildOptions)
 		if err := checkSize(l); err != nil {
 			return BuildResult{}, err
 		}
-		so := opts.SocReach
-		so.UseBPTree = flags&1 != 0
-		e = NewSocReachWithLabeling(prep, l, so)
+		e = NewSocReachWithLabeling(prep, l)
 	case MethodSpaReachINT:
 		l, err := labeling.ReadLabeling(br)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/flatbuf"
 )
 
 func TestEngineSaveLoadRoundTrip(t *testing.T) {
@@ -57,20 +58,94 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSocReachBPTreeFlagSurvives loads SocReach images that carry the
+// retired B+-tree flag — bit 0 of the v2 manifest flags and of the v1
+// flags byte. Both formats load, validate and answer like the unflagged
+// image on BFS-checked queries; any other flag bit is still rejected.
 func TestSocReachBPTreeFlagSurvives(t *testing.T) {
 	rng := rand.New(rand.NewSource(607))
-	prep := dataset.Prepare(randomNetwork(rng, 20, 10, false))
-	e := NewSocReach(prep, SocReachOptions{UseBPTree: true})
-	var buf bytes.Buffer
-	if err := SaveEngine(&buf, e); err != nil {
+	net := randomNetwork(rng, 40, 25, true)
+	prep := dataset.Prepare(net)
+	truth := NewNaiveBFS(net)
+	e := NewSocReach(prep, SocReachOptions{})
+
+	var v2, v1 bytes.Buffer
+	if err := SaveEngine(&v2, e); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadEngine(&buf, prep, BuildOptions{})
+	if err := SaveEngineV1(&v1, e); err != nil {
+		t.Fatal(err)
+	}
+	// withV2Flags sets bits in the top-level manifest header (Method u8,
+	// Policy u8, Flags u16 little-endian) of a copy of the v2 image.
+	withV2Flags := func(bits uint8) []byte {
+		data := bytes.Clone(v2.Bytes())
+		img, err := flatbuf.Open(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, ok := img.Section(0, secManifest)
+		if !ok || man[0] != uint8(MethodSocReach) || man[2] != 0 {
+			t.Fatalf("unexpected v2 manifest % x", man)
+		}
+		man[2] |= bits // aliases data
+		return data
+	}
+	// withV1Flags sets bits in the flags byte that follows the v1
+	// header (magic, version, method, policy).
+	withV1Flags := func(bits uint8) []byte {
+		data := bytes.Clone(v1.Bytes())
+		const flagsAt = len(engineMagic) + 3
+		if data[len(engineMagic)+1] != uint8(MethodSocReach) || data[flagsAt] != 0 {
+			t.Fatalf("unexpected v1 header % x", data[:flagsAt+1])
+		}
+		data[flagsAt] |= bits
+		return data
+	}
+	load := func(data []byte) (Engine, error) {
+		res, err := LoadEngine(bytes.NewReader(data), prep, BuildOptions{})
+		return res.Engine, err
+	}
+
+	plain, err := load(v2.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Engine.(*SocReach).post == nil {
-		t.Error("B+-tree flag lost on round trip")
+	for name, data := range map[string][]byte{
+		"v2": withV2Flags(socFlagBPTree),
+		"v1": withV1Flags(socFlagBPTree),
+	} {
+		flagged, err := load(data)
+		if err != nil {
+			t.Fatalf("%s: flagged image rejected: %v", name, err)
+		}
+		if _, ok := flagged.(*SocReach); !ok {
+			t.Fatalf("%s: loaded %T, want *SocReach", name, flagged)
+		}
+		if err := ValidateEngine(flagged); err != nil {
+			t.Fatalf("%s: flagged image fails validation: %v", name, err)
+		}
+		if flagged.MemoryBytes() != plain.MemoryBytes() {
+			t.Errorf("%s: MemoryBytes %d, unflagged %d", name, flagged.MemoryBytes(), plain.MemoryBytes())
+		}
+		qrng := rand.New(rand.NewSource(608))
+		for q := 0; q < 300; q++ {
+			v := qrng.Intn(net.NumVertices())
+			r := randomRegion(qrng)
+			want := truth.RangeReach(v, r)
+			if got := flagged.RangeReach(v, r); got != want || plain.RangeReach(v, r) != want {
+				t.Fatalf("%s: RangeReach(%d, %v) = %v (unflagged %v), BFS %v",
+					name, v, r, got, plain.RangeReach(v, r), want)
+			}
+		}
+	}
+	for _, bit := range []uint8{1 << 1, 1 << 7} {
+		if _, err := load(withV2Flags(bit)); err == nil {
+			t.Errorf("v2: unknown SocReach flag %#x accepted", bit)
+		}
+		if _, err := load(withV1Flags(bit)); err == nil {
+			t.Errorf("v1: unknown SocReach flag %#x accepted", bit)
+		}
 	}
 }
 

@@ -62,7 +62,10 @@ const (
 
 // Manifest flag bits.
 const (
-	socFlagBPTree = 1 << 0 // SocReach: rebuild the post-order B+-tree
+	// socFlagBPTree is retired: builds once rebuilt a post-order
+	// B+-tree for such images. Loaders (v1 flags byte too) accept and
+	// ignore it, and reject every other SocReach bit.
+	socFlagBPTree = 1 << 0
 
 	threeDFlagExact   = 1 << 0 // 3DReach: box tree holds exact geometries
 	threeDFlagBoxes   = 1 << 1 // 3DReach: spatial index is the box tree
@@ -146,34 +149,22 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 	var man bytes.Buffer
 	switch eng := e.(type) {
 	case *ThreeDReach:
-		flags := uint16(0)
-		var f *rtree.Tree[geom.Box3]
-		if eng.boxes != nil {
-			f = eng.boxes
-			flags |= threeDFlagBoxes | threeDFlagSpatial
-			if eng.exactBoxes {
-				flags |= threeDFlagExact
-			}
-		} else if ri, ok := eng.points.(rtreeIndex); ok {
-			// Only the R-tree point backend persists; the k-d tree and
-			// grid rebuild from the network at load (cheap, and keeps
-			// the format free of backend-specific encodings).
-			f = ri.t
-			flags |= threeDFlagSpatial
+		flags := uint16(threeDFlagSpatial)
+		switch eng.mode {
+		case modeExact:
+			flags |= threeDFlagBoxes | threeDFlagExact
+		case modeMBR:
+			flags |= threeDFlagBoxes
 		}
 		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReach), Policy: uint8(eng.policy), Flags: flags})
 		mustWrite(&man, labelingMetaOf(eng.l))
-		if flags&threeDFlagSpatial != 0 {
-			mustWrite(&man, treeMetaOf(f))
-		}
+		mustWrite(&man, treeMetaOf(eng.tree))
 		fw.Append(owner, secManifest, man.Bytes())
 		if err := appendLabelingSections(fw, owner, eng.l); err != nil {
 			return err
 		}
-		if flags&threeDFlagSpatial != 0 {
-			if err := appendTreeSections(fw, owner, f); err != nil {
-				return err
-			}
+		if err := appendTreeSections(fw, owner, eng.tree); err != nil {
+			return err
 		}
 	case *ThreeDReachRev:
 		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReachRev), Policy: uint8(eng.policy)})
@@ -187,11 +178,7 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 			return err
 		}
 	case *SocReach:
-		flags := uint16(0)
-		if eng.post != nil {
-			flags |= socFlagBPTree
-		}
-		mustWrite(&man, manifestHeader{Method: uint8(MethodSocReach), Policy: uint8(dataset.Replicate), Flags: flags})
+		mustWrite(&man, manifestHeader{Method: uint8(MethodSocReach), Policy: uint8(dataset.Replicate)})
 		mustWrite(&man, labelingMetaOf(eng.l))
 		fw.Append(owner, secManifest, man.Bytes())
 		if err := appendLabelingSections(fw, owner, eng.l); err != nil {
@@ -391,6 +378,9 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 			return nil, err
 		}
 		if flags&threeDFlagSpatial == 0 {
+			// No spatial sections: the image came from a point backend
+			// the format never encoded (builds once offered a k-d tree
+			// and a grid). Rebuild the R-tree from the network.
 			if err := manifestDone(mr, owner); err != nil {
 				return nil, err
 			}
@@ -415,13 +405,14 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		if err := manifestDone(mr, owner); err != nil {
 			return nil, err
 		}
-		e := &ThreeDReach{prep: prep, policy: policy, l: l, exactBoxes: exact}
-		if hasBoxes {
-			e.boxes = f
-		} else {
-			e.points = rtreeIndex{f}
+		mode := modePoints
+		switch {
+		case hasBoxes && exact:
+			mode = modeExact
+		case hasBoxes:
+			mode = modeMBR
 		}
-		return e, nil
+		return &ThreeDReach{prep: prep, policy: policy, l: l, tree: f, mode: mode}, nil
 	case MethodThreeDReachRev:
 		rev, err := loadLabelingV2(img, owner, mr, prep)
 		if err != nil {
@@ -440,6 +431,9 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		}
 		return &ThreeDReachRev{prep: prep, policy: policy, rev: rev, tree: f}, nil
 	case MethodSocReach:
+		if flags&^socFlagBPTree != 0 {
+			return nil, fmt.Errorf("core: %w: unknown SocReach flags %#x", flatbuf.ErrFormat, flags)
+		}
 		l, err := loadLabelingV2(img, owner, mr, prep)
 		if err != nil {
 			return nil, err
@@ -447,9 +441,7 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		if err := manifestDone(mr, owner); err != nil {
 			return nil, err
 		}
-		so := opts.SocReach
-		so.UseBPTree = flags&socFlagBPTree != 0
-		return NewSocReachWithLabeling(prep, l, so), nil
+		return NewSocReachWithLabeling(prep, l), nil
 	case MethodSpaReachINT:
 		l, err := loadLabelingV2(img, owner, mr, prep)
 		if err != nil {

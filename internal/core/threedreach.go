@@ -26,16 +26,27 @@ type ThreeDReach struct {
 	policy dataset.SCCPolicy
 	l      *labeling.Labeling
 
-	// points backs the Replicate policy over point-only networks through
-	// the selected backend; boxes backs the MBR policy and — exactly —
-	// the Replicate policy of networks with extended geometries (paper
-	// footnote 1) through the R-tree, the only backend indexing boxes.
-	points pointIndex3
-	boxes  *rtree.Tree[geom.Box3]
-	// exactBoxes marks the boxes tree as holding exact per-vertex
-	// geometries: a hit is a witness, no member verification needed.
-	exactBoxes bool
+	// tree is the 3D R-tree over (geometry × post); mode says what its
+	// entries are and whether a hit is a witness.
+	tree *rtree.Tree[geom.Box3]
+	mode threeDMode
 }
+
+// threeDMode is what the entries of a ThreeDReach tree stand for.
+type threeDMode uint8
+
+const (
+	// modePoints: the Replicate policy over a point-only network, one
+	// degenerate box per spatial vertex. A hit is a witness.
+	modePoints threeDMode = iota
+	// modeExact: the Replicate policy over a network with extended
+	// geometries (paper footnote 1), one exact box per spatial vertex.
+	// A hit is a witness.
+	modeExact
+	// modeMBR: the MBR policy, one member MBR per spatial component. A
+	// hit must be confirmed against the component's members.
+	modeMBR
+)
 
 // ThreeDOptions configures NewThreeDReach and NewThreeDReachRev.
 type ThreeDOptions struct {
@@ -45,10 +56,6 @@ type ThreeDOptions struct {
 	Fanout int
 	// Forest is the spanning-forest policy of the labeling.
 	Forest graph.ForestPolicy
-	// Backend selects the 3D point index for the Replicate policy
-	// (default the paper's R-tree). The MBR policy and 3DReach-Rev
-	// index extended objects and always use the R-tree.
-	Backend SpatialBackend
 	// Parallelism bounds the build workers: 0 or 1 builds sequentially,
 	// n > 1 parallelizes the labeling and the spatial bulk load
 	// internally. The 3D index depends on the labeling's post-order
@@ -77,11 +84,12 @@ func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, op
 	t := opts.Span.Start()
 	defer opts.Span.End("spatial", t)
 
+	var entries []rtree.Entry[geom.Box3]
 	if opts.Policy == dataset.MBR {
 		// A component's geometry is its member MBR, lifted to its
 		// post-order height: the 3D R-tree indexes boxes instead of
 		// points (paper §6.2's MBR-based variant).
-		var entries []rtree.Entry[geom.Box3]
+		e.mode = modeMBR
 		for c := range prep.Members {
 			if prep.HasSpatial[c] {
 				z := float64(l.PostOf(c))
@@ -91,14 +99,13 @@ func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, op
 				})
 			}
 		}
-		e.boxes = rtree.BulkLoadPool(entries, opts.Fanout, wp)
-		return e
-	}
-
-	if prep.Net.HasExtents() {
-		// Extended geometries: every spatial vertex becomes the box
-		// (geometry × post), and an intersecting cuboid is a witness.
-		var entries []rtree.Entry[geom.Box3]
+	} else {
+		// Every spatial vertex becomes (geometry × post): a point for a
+		// point vertex, a box for an extended one. Either way an
+		// intersecting cuboid is a witness.
+		if prep.Net.HasExtents() {
+			e.mode = modeExact
+		}
 		for v, s := range prep.Net.Spatial {
 			if s {
 				z := float64(l.PostOf(int(prep.CompOf(v))))
@@ -108,22 +115,12 @@ func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, op
 				})
 			}
 		}
-		e.boxes = rtree.BulkLoadPool(entries, opts.Fanout, wp)
-		e.exactBoxes = true
-		return e
 	}
-
-	var pts []point3
-	for v, s := range prep.Net.Spatial {
-		if s {
-			c := prep.CompOf(v)
-			p := prep.Net.Points[v]
-			pts = append(pts, point3{
-				x: p.X, y: p.Y, z: float64(l.PostOf(int(c))), id: int32(v),
-			})
-		}
+	e.tree = rtree.BulkLoadPool(entries, opts.Fanout, wp)
+	if e.mode == modePoints {
+		// A degenerate box stores one corner per leaf entry.
+		e.tree.SetLeafBoundBytes(24)
 	}
-	e.points = buildPointIndex3(pts, opts.Backend, opts.Fanout, wp)
 	return e
 }
 
@@ -148,20 +145,17 @@ func (e *ThreeDReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool 
 	return hit
 }
 
-// descend answers R × ∪run against whichever 3D index the policy built.
+// descend answers R × ∪run against the 3D tree.
 func (e *ThreeDReach) descend(r geom.Rect, run intervals.Set, sp *trace.Span) bool {
-	if e.points != nil {
-		return e.points.AnyInRun(r, run, sp)
-	}
-	countRootLabels(e.boxes, run, sp)
-	if e.exactBoxes {
-		return rtree.AnyInRun(e.boxes, r, run, sp)
+	countRootLabels(e.tree, run, sp)
+	if e.mode != modeMBR {
+		return rtree.AnyInRun(e.tree, r, run, sp)
 	}
 	// MBR policy: member confirmation runs inside the R-tree descent,
 	// so the whole interleaved pass is timed as the spatial stage
 	// (stage timings stay disjoint); the member counter still records
 	// the verification work.
-	return !rtree.SearchRun(e.boxes, r, run, sp, func(entry rtree.Entry[geom.Box3]) bool {
+	return !rtree.SearchRun(e.tree, r, run, sp, func(entry rtree.Entry[geom.Box3]) bool {
 		if r.ContainsRect(entry.Box.Rect()) {
 			return false
 		}
@@ -175,16 +169,20 @@ func (e *ThreeDReach) descend(r geom.Rect, run intervals.Set, sp *trace.Span) bo
 	})
 }
 
-// MemoryBytes implements Engine: labeling plus the 3D index.
-func (e *ThreeDReach) MemoryBytes() int64 {
-	total := e.l.MemoryBytes()
-	if e.points != nil {
-		total += e.points.MemoryBytes()
-	} else {
-		total += e.boxes.MemoryBytes()
+// countRootLabels adds to sp the intervals of run that overlap the
+// tree's root z-extent — the labels the one-descent kernel carries
+// into the tree. Untraced queries skip the two binary searches.
+func countRootLabels(t *rtree.Tree[geom.Box3], run intervals.Set, sp *trace.Span) {
+	if !sp.Enabled() {
+		return
 	}
-	return total
+	if root, ok := t.Bounds(); ok {
+		sp.AddLabels(len(rtree.ZOverlap(run, root.Min.Z, root.Max.Z)))
+	}
 }
+
+// MemoryBytes implements Engine: labeling plus the 3D index.
+func (e *ThreeDReach) MemoryBytes() int64 { return e.l.MemoryBytes() + e.tree.MemoryBytes() }
 
 // Labeling exposes the underlying labeling for stats reporting.
 func (e *ThreeDReach) Labeling() *labeling.Labeling { return e.l }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -41,6 +42,51 @@ func TestThreeDReachRangeReachAllocs(t *testing.T) {
 			if n := testing.AllocsPerRun(200, func() { e.RangeReach(v, r) }); n != 0 {
 				t.Errorf("%s: RangeReach(%d labels, %v): %v allocs/op, want 0", tc.name, len(e.l.Labels[prep.CompOf(v)]), r, n)
 			}
+		}
+	}
+}
+
+// TestThreeDReachMemoryBytesPinned fixes MemoryBytes — the figure the
+// benchmark reports as index_bytes — for every 3DReach index shape on
+// fixed networks, built and after a v2 round trip. The point tree keeps
+// its 24-byte leaf entries (a degenerate box stores one corner); box
+// trees keep the full 48.
+func TestThreeDReachMemoryBytesPinned(t *testing.T) {
+	gowalla := func() *dataset.Network { return dataset.GowallaLike(0.05, 11) }
+	yelp := func() *dataset.Network { return dataset.YelpLike(0.05, 5) }
+	extended := func(net *dataset.Network) *dataset.Network {
+		return withExtents(rand.New(rand.NewSource(3)), net)
+	}
+	for _, tc := range []struct {
+		name   string
+		net    *dataset.Network
+		policy dataset.SCCPolicy
+		fanout int
+		want   int64
+	}{
+		{"replicate/gowalla", gowalla(), dataset.Replicate, 0, 65896},
+		{"replicate/gowalla/fan8", gowalla(), dataset.Replicate, 8, 71440},
+		{"replicate/yelp", yelp(), dataset.Replicate, 0, 58688},
+		{"mbr/gowalla", gowalla(), dataset.MBR, 0, 98536},
+		{"mbr/yelp/fan8", yelp(), dataset.MBR, 8, 60848},
+		{"extents/gowalla", extended(gowalla()), dataset.Replicate, 0, 98536},
+		{"extents/yelp", extended(yelp()), dataset.Replicate, 0, 60512},
+	} {
+		prep := dataset.Prepare(tc.net)
+		e := NewThreeDReach(prep, ThreeDOptions{Policy: tc.policy, Fanout: tc.fanout})
+		if got := e.MemoryBytes(); got != tc.want {
+			t.Errorf("%s: MemoryBytes = %d, want %d", tc.name, got, tc.want)
+		}
+		var buf bytes.Buffer
+		if err := SaveEngine(&buf, e); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadEngine(&buf, prep, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded.Engine.MemoryBytes(); got != tc.want {
+			t.Errorf("%s: loaded MemoryBytes = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

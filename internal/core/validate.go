@@ -10,7 +10,7 @@ import (
 // ValidateEngine deep-checks the structural invariants of an engine:
 // interval labelings (post-order bijection, well-formed and properly
 // nested label sets, acyclic condensation) and spatial indexes (R-tree
-// MBR containment and balance, k-d ordering). It returns nil for a
+// MBR containment and balance). It returns nil for a
 // well-formed engine and a descriptive error naming the engine and the
 // first violated invariant otherwise.
 //
@@ -24,13 +24,8 @@ func ValidateEngine(e Engine) error {
 		if err := check.Labeling(eng.prep.DAG, eng.l); err != nil {
 			return fmt.Errorf("core: %s labeling: %w", eng.Name(), err)
 		}
-		if err := validatePointIndex3(eng.points); err != nil {
-			return fmt.Errorf("core: %s point index: %w", eng.Name(), err)
-		}
-		if eng.boxes != nil {
-			if err := eng.boxes.Validate(); err != nil {
-				return fmt.Errorf("core: %s box index: %w", eng.Name(), err)
-			}
+		if err := eng.tree.Validate(); err != nil {
+			return fmt.Errorf("core: %s 3D index: %w", eng.Name(), err)
 		}
 	case *ThreeDReachRev:
 		// The labeling is built over the reversed condensation.
@@ -69,17 +64,5 @@ func ValidateEngine(e Engine) error {
 		}
 	}
 	// NaiveBFS and unknown engines: nothing checkable here.
-	return nil
-}
-
-// validatePointIndex3 dispatches to the concrete 3D point backend.
-func validatePointIndex3(p pointIndex3) error {
-	switch b := p.(type) {
-	case rtreeIndex:
-		return b.t.Validate()
-	case kdtreeIndex:
-		return b.t.Validate()
-	}
-	// The grid backend has no ordering invariant to check.
 	return nil
 }

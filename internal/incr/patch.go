@@ -60,13 +60,12 @@ func (x *Index) addDAGEdge(cu, cv int32) int32 {
 }
 
 // propagate merges add into the labels of the source components and
-// every ancestor, pruning branches whose label already covers add (the
-// same reverse-BFS labeling.Dynamic uses). Labels are replaced with
-// freshly merged sets, never mutated, so published snapshots stay
-// intact. Epoch-stamped marks bound the walk to one visit per
-// component: without them a dense ancestor DAG re-enqueues a component
-// once per path, which made core merges quadratic on fragmented
-// networks.
+// every ancestor by reverse BFS, pruning branches whose label already
+// covers add. Labels are replaced with freshly merged sets, never
+// mutated, so published snapshots stay intact. Epoch-stamped marks
+// bound the walk to one visit per component: without them a dense
+// ancestor DAG re-enqueues a component once per path, which made core
+// merges quadratic on fragmented networks.
 func (x *Index) propagate(sources []int32, add intervals.Set) {
 	for len(x.compSeen) < len(x.alive) {
 		x.compSeen = append(x.compSeen, 0)

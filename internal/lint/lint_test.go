@@ -222,6 +222,32 @@ func TestModuleClean(t *testing.T) {
 	}
 }
 
+// TestPackageListsCurrent keeps the analyzers' package lists from going
+// stale: every listed path or prefix must match a package of the module,
+// so deleting a package forces its removal from the lists.
+func TestPackageListsCurrent(t *testing.T) {
+	m := repoModule(t)
+	lists := map[string][]string{
+		"hotPackages": hotPackages,
+		"geomPkg":     {geomPkg},
+		"tracePkg":    {tracePkg},
+	}
+	for name, list := range lists {
+		for _, prefix := range list {
+			found := false
+			for _, pkg := range m.Pkgs {
+				if pkg.Path == prefix || strings.HasPrefix(pkg.Path, prefix+"/") {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("%s names %q, which matches no package of module %s", name, prefix, m.Path)
+			}
+		}
+	}
+}
+
 // TestByName covers the analyzer registry both ways.
 func TestByName(t *testing.T) {
 	for _, a := range All() {

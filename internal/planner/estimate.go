@@ -48,9 +48,8 @@ type Estimator struct {
 	totalSpatial float64
 	logP         float64 // log2(2 + |P|), the index-descent work unit
 
-	comp   []int32   // original vertex -> component (shared with Prepared)
-	mass   []float64 // per component: |D(c)| = Σ(hi−lo+1) over L(c)
-	labels []int32   // per component: |L(c)|
+	comp []int32   // original vertex -> component (shared with Prepared)
+	mass []float64 // per component: |D(c)| = Σ(hi−lo+1) over L(c)
 }
 
 // NewEstimator derives the estimator from a prepared network and its
@@ -60,11 +59,10 @@ func NewEstimator(prep *dataset.Prepared, fwd *labeling.Labeling) *Estimator {
 	h := grid.NewHierarchy(prep.Net.Space(), histLevels)
 	side := h.SideCells(0)
 	e := &Estimator{
-		hier:   h,
-		side:   side,
-		comp:   prep.Comp,
-		mass:   make([]float64, prep.NumComponents()),
-		labels: make([]int32, prep.NumComponents()),
+		hier: h,
+		side: side,
+		comp: prep.Comp,
+		mass: make([]float64, prep.NumComponents()),
 	}
 
 	counts := make([]float64, int(side)*int(side))
@@ -92,7 +90,6 @@ func NewEstimator(prep *dataset.Prepared, fwd *labeling.Labeling) *Estimator {
 
 	for c := 0; c < prep.NumComponents(); c++ {
 		e.mass[c] = float64(fwd.DescendantCount(c))
-		e.labels[c] = int32(len(fwd.Labels[c]))
 	}
 	return e
 }
@@ -155,9 +152,6 @@ func (e *Estimator) RegionCount(r geom.Rect) float64 {
 // interval mass Σ(hi−lo+1).
 func (e *Estimator) DescendantMass(v int) float64 { return e.mass[e.comp[v]] }
 
-// LabelCount returns |L(v)| for the original vertex v.
-func (e *Estimator) LabelCount(v int) int { return int(e.labels[e.comp[v]]) }
-
 // TotalSpatial returns |P|.
 func (e *Estimator) TotalSpatial() float64 { return e.totalSpatial }
 
@@ -167,5 +161,5 @@ func (e *Estimator) LogP() float64 { return e.logP }
 // MemoryBytes returns the estimator's footprint (prefix table plus the
 // per-component arrays; the component map is shared with the network).
 func (e *Estimator) MemoryBytes() int64 {
-	return int64(8*len(e.prefix) + 8*len(e.mass) + 4*len(e.labels))
+	return int64(8*len(e.prefix) + 8*len(e.mass))
 }

@@ -19,15 +19,14 @@ const (
 	// WorkCandidates — cost grows with |P ∩ R|: the spatial-first
 	// SpaReach variants probe reachability once per candidate.
 	WorkCandidates
-	// WorkCuboids — cost grows with |L(v)|·log|P|: 3DReach runs one
-	// 3D range query per label interval.
-	WorkCuboids
-	// WorkPlane — one plane query over the reversed-label segments:
-	// the log|P| tree descent. The query early-exits on the first
-	// segment cut, so larger regions tend to get *cheaper*, not more
-	// expensive — the residual region dependence has no stable sign and
-	// is left to the coefficient feedback rather than modeled with a
-	// term whose trend would mislead the argmin at regime crossovers.
+	// WorkPlane — one log|P| tree descent: 3DReach-Rev's plane query
+	// over the reversed-label segments, and 3DReach's single descent
+	// that carries all of L(v) down the 3D tree at once (its cost
+	// barely depends on |L(v)|). Both early-exit on the first witness,
+	// so larger regions tend to get *cheaper*, not more expensive — the
+	// residual region dependence has no stable sign and is left to the
+	// coefficient feedback rather than modeled with a term whose trend
+	// would mislead the argmin at regime crossovers.
 	WorkPlane
 )
 
@@ -298,8 +297,6 @@ func (p *Planner) EstimateWorks(v int, r geom.Rect, out []float64) []float64 {
 			out[i] = w
 		case WorkCandidates:
 			out[i] = region()
-		case WorkCuboids:
-			out[i] = float64(p.est.LabelCount(v)) * p.est.LogP()
 		case WorkPlane:
 			out[i] = p.est.LogP()
 		}

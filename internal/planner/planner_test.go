@@ -85,9 +85,6 @@ func TestDescendantMassMatchesLabeling(t *testing.T) {
 		if got := est.DescendantMass(v); got != want {
 			t.Fatalf("vertex %d: mass %g, labeling says %g", v, got, want)
 		}
-		if got := est.LabelCount(v); got != len(fwd.Labels[prep.Comp[v]]) {
-			t.Fatalf("vertex %d: label count %d, labeling says %d", v, got, len(fwd.Labels[prep.Comp[v]]))
-		}
 	}
 }
 

@@ -21,15 +21,16 @@ import "time"
 // DESIGN.md §9 tabulates the mapping. All counts are per single query.
 type Counters struct {
 	// Labels is the number of interval labels inspected: the query
-	// vertex's label set (3DReach: one cuboid each; SocReach: one range
-	// scan each) plus, for interval-probed methods (SpaReach-INT), the
-	// label sets consulted by reachability probes.
+	// vertex's label set (3DReach: those overlapping the 3D tree's root
+	// z-extent; SocReach: one range scan each) plus, for interval-probed
+	// methods (SpaReach-INT), the label sets consulted by reachability
+	// probes.
 	Labels int64
 	// IndexNodes is the number of internal spatial-index nodes expanded
-	// (R-tree/k-d tree nodes whose bounds intersect the query).
+	// (R-tree nodes whose bounds intersect the query).
 	IndexNodes int64
 	// IndexLeaves is the number of spatial-index leaves expanded (R-tree
-	// leaf nodes, grid buckets).
+	// leaf nodes).
 	IndexLeaves int64
 	// IndexEntries is the number of leaf entries tested against the
 	// query box (points, boxes or vertical segments).
@@ -172,7 +173,7 @@ func (s *Span) IncNode() {
 	}
 }
 
-// IncLeaf counts one expanded index leaf (or grid bucket).
+// IncLeaf counts one expanded index leaf.
 func (s *Span) IncLeaf() {
 	if s != nil {
 		s.IndexLeaves++

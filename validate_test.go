@@ -25,15 +25,6 @@ func TestValidateAfterBuild(t *testing.T) {
 			t.Errorf("%v: Validate() = %v", m, err)
 		}
 	}
-	for _, backend := range []rangereach.SpatialBackend{rangereach.BackendKDTree, rangereach.BackendGrid} {
-		idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithSpatialBackend(backend))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := idx.Validate(); err != nil {
-			t.Errorf("backend %v: Validate() = %v", backend, err)
-		}
-	}
 }
 
 // TestValidateAfterRoundtrip checks persisted indexes: LoadIndex runs
